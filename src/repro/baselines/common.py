@@ -14,8 +14,8 @@ from repro.core.messages import Stamp
 from repro.pubsub.membership import GroupMembership
 from repro.sim.events import Simulator
 from repro.sim.network import Channel, Network
-from repro.sim.processes import Process
-from repro.sim.trace import Trace
+from repro.runtime.node import Process
+from repro.runtime.trace import Trace
 from repro.topology.clusters import Host
 from repro.topology.routing import RoutingTable
 

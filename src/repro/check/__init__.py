@@ -15,11 +15,12 @@ Two analyzers share one finding model and one entry point:
 
 Three further analyzers audit *behaviour* rather than code or graphs:
 
-* :mod:`repro.check.invariants` — re-checks a finished simulation's
-  delivery logs (``RT3xx``): per-group total order, exactly-once,
-  quiescence, publisher FIFO, mutual consistency, causal order, and
-  stability.  Used by the fault-injection campaigns in
-  :mod:`repro.faults` and the ``repro chaos`` CLI.
+* :mod:`repro.check.invariants` — the one ordering checker: per-group
+  total order, exactly-once, quiescence, publisher FIFO, per-space stamp
+  order, causal order, stability and group numbering, one table row per
+  property with its ``RT3xx``/``LM30x``/``MC40x`` codes.  Fed a finished
+  fabric by the fault-injection campaigns and ``repro chaos``, trace
+  records by the live monitor, and terminal states by the model checker.
 * :mod:`repro.check.churn` — cross-epoch invariants (``RT32x``) for
   online epoch-fenced reconfiguration: counter continuity over the
   fence, exactly-once across epochs, fence completeness, joiner clean
@@ -61,32 +62,21 @@ from repro.check.explore import (
     replay_schedule,
     run_explore_check,
 )
-from repro.check.invariants import (
-    DeliveredEntry,
-    PublishedEntry,
-    RunView,
-    as_run_view,
-    fabric_view,
-    verify_run,
-)
+from repro.check.invariants import OrderingChecker, verify_run
 from repro.check.runner import run_check
 from repro.check.simlint import RULES, lint_path, lint_source
 
 __all__ = [
     "CERTIFICATE_FORMAT",
     "CheckReport",
-    "DeliveredEntry",
     "EpochLog",
     "ExploreConfig",
     "ExploreResult",
     "Finding",
-    "PublishedEntry",
+    "OrderingChecker",
     "RULES",
-    "RunView",
-    "as_run_view",
     "collect_epoch_log",
     "explore",
-    "fabric_view",
     "lint_path",
     "lint_source",
     "load_certificate",

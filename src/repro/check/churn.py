@@ -11,28 +11,24 @@ cutover (or at the end of the run); :func:`verify_churn` re-derives the
 invariants from a sequence of those logs, independently of the
 reconfiguration code that claims to maintain them:
 
-=======  ==============================================================
-RT320    Surviving group spaces continue: the next epoch starts at the
-         carried counter, and members deliver a gap-free run ending
-         exactly at the fence (nothing lost or duplicated across it).
-RT321    Surviving atom sequence spaces continue across the switch.
-RT322    Exactly-once per host *across* epochs (no replay after cutover).
-RT323    Every expected member consumed its group's epoch fence, and no
-         hold-back buffer held messages at the cutover.
-RT324    Members of changed/added groups — including joiners — see a
-         clean prefix: group-local numbers restart at 1, gap-free.
-RT325    A leaver consumed the old epoch's fence and left nothing
-         buffered (its hold-back drained before it was dropped).
-=======  ==============================================================
-
-The checks mirror the RT30x conventions: one :class:`Finding` per
-violation (capped per rule), ``tool="runtime-verify"``.
+RT320 (surviving groups continue at the carried counter) and RT324
+(changed or added groups, joiners included, restart at 1) are the
+group-seq row of :data:`repro.check.invariants.RULES` over each epoch's
+deliveries, RT322 its duplicate row across epochs.  This module's own
+checks: RT321 surviving atom counters continue across the switch, RT323
+every expected member consumed its group's fence and nothing was
+buffered at the cutover, RT325 a leaver consumed the fence and left
+nothing buffered.  One :class:`Finding` per violation (capped per rule),
+``tool="runtime-verify"``.
 """
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional
+from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Tuple
 
 from repro.check.findings import Finding
+from repro.check.invariants import (
+    MAX_FINDINGS_PER_CHECK, TOOL, GroupSpace, OrderingChecker,
+)
 from repro.core.messages import AtomId
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -43,12 +39,6 @@ __all__ = [
     "collect_epoch_log",
     "verify_churn",
 ]
-
-TOOL = "runtime-verify"
-
-#: Findings reported per rule before truncation (matches RT30x).
-MAX_FINDINGS_PER_CHECK = 25
-
 
 def _finding(code: str, message: str, anchor: str) -> Finding:
     return Finding(code=code, message=message, anchor=anchor, tool=TOOL)
@@ -124,32 +114,6 @@ def collect_epoch_log(
     )
 
 
-def _group_seqs(log: EpochLog, host: int, group: int) -> List[int]:
-    return [
-        r.stamp.group_seq
-        for r in log.deliveries.get(host, [])
-        if r.stamp.group == group
-    ]
-
-
-def _expected_run(log: EpochLog, group: int, start: int) -> Optional[List[int]]:
-    """The gap-free group-local run every member must deliver.
-
-    Every number the epoch assigned, ``start+1`` through the end
-    counter, minus the fence's own number when the epoch was fenced.
-    (The fence is *not* necessarily the space's last number: a message
-    still en route to the ingress when the switch began is sequenced
-    after it, and the drain delivers it before the cutover.)  ``None``
-    when the epoch assigned no numbers.
-    """
-    end = log.end_group_counters.get(group, start)
-    run = range(start + 1, end + 1)
-    if log.online_switch and log.fence_group_seq.get(group) is not None:
-        fence_seq = log.fence_group_seq[group]
-        return [seq for seq in run if seq != fence_seq]
-    return list(run)
-
-
 def _surviving(prev: EpochLog, cur: EpochLog) -> List[int]:
     return sorted(
         g
@@ -158,173 +122,109 @@ def _surviving(prev: EpochLog, cur: EpochLog) -> List[int]:
     )
 
 
-def check_group_continuity(logs: List[EpochLog]) -> List[Finding]:
-    """RT320: surviving group spaces continue gap-free across the fence."""
-    findings: List[Finding] = []
-    for prev, cur in zip(logs, logs[1:]):
-        for group in _surviving(prev, cur):
-            carried = prev.end_group_counters.get(group, 0)
-            start = cur.start_group_counters.get(group, 0)
-            if start != carried:
-                findings.append(
-                    _finding(
-                        "RT320",
-                        f"group {group} entered epoch {cur.epoch} at counter "
-                        f"{start}, but epoch {prev.epoch} ended at {carried}",
-                        f"group {group}",
-                    )
-                )
-    for log in logs:
-        for group in sorted(log.members):
-            start = log.start_group_counters.get(group, 0)
-            expected = _expected_run(log, group, start)
-            if expected is None:
-                continue
-            for host in sorted(log.members[group]):
-                got = _group_seqs(log, host, group)
-                if got != expected:
-                    findings.append(
-                        _finding(
-                            "RT320",
-                            f"host {host} delivered group {group} seqs "
-                            f"{got[:8]}{'...' if len(got) > 8 else ''} in "
-                            f"epoch {log.epoch}, expected the gap-free run "
-                            f"{expected[0] if expected else '-'}..."
-                            f"{expected[-1] if expected else '-'} "
-                            f"({len(expected)} messages)",
-                            f"group {group}",
-                        )
-                    )
-                if len(findings) >= MAX_FINDINGS_PER_CHECK:
-                    return findings
-    return findings
+def _group_seq_verdicts(log: EpochLog, groups: List[int]) -> List[str]:
+    """The checker's group-seq row over one epoch's ``groups``.
+
+    Every member must deliver every number the epoch assigned, from the
+    carried counter on and through the end counter, except the fence's
+    own number.  (The fence is *not* necessarily the space's last number:
+    a message still en route to the ingress when the switch began is
+    sequenced after it, and the drain delivers it before the cutover.)
+    """
+    spaces = {
+        group: GroupSpace(
+            first=log.start_group_counters.get(group, 0) + 1,
+            last=log.end_group_counters.get(group),
+            fence=log.fence_group_seq.get(group) if log.online_switch else None,
+        )
+        for group in groups
+    }
+    checker = OrderingChecker({group: log.members[group] for group in groups}, spaces=spaces)
+    for host in sorted(log.deliveries):
+        for r in log.deliveries[host]:
+            if r.stamp.group in spaces:
+                checker.deliver(host, r.msg_id, r.stamp.group, r.sender, r.time, r.stamp.group_seq)
+    verdicts = checker.verdicts(causal=False)["group_seq"]
+    return [f"epoch {log.epoch}: {message}" for message, _anchor in verdicts]
+
+
+def check_group_spaces(
+    logs: List[EpochLog],
+) -> Tuple[List[Finding], List[Finding]]:
+    """RT320 for surviving groups and RT324 for changed or added ones: the
+    counter each group enters an epoch with (the carried one, or a fresh
+    0), then the checker's group-seq row over the epoch's deliveries."""
+    found: Dict[str, List[Finding]] = {"RT320": [], "RT324": []}
+    for prev, cur in zip([None, *logs[:-1]], logs):
+        surviving = sorted(cur.members) if prev is None else _surviving(prev, cur)
+        changed = sorted(set(cur.members) - set(surviving))
+        for code, groups in (("RT320", surviving), ("RT324", changed)):
+            for group in groups:
+                if prev is None:
+                    break
+                start = cur.start_group_counters.get(group, 0)
+                entry = prev.end_group_counters.get(group, 0) if code == "RT320" else 0
+                if start != entry:
+                    found[code].append(_finding(
+                        code, f"group {group} entered epoch {cur.epoch} at "
+                        f"counter {start}, expected {entry}", f"group {group}",
+                    ))
+            found[code].extend(
+                _finding(code, message, f"epoch {cur.epoch}")
+                for message in _group_seq_verdicts(cur, groups)
+            )
+    return (
+        found["RT320"][:MAX_FINDINGS_PER_CHECK],
+        found["RT324"][:MAX_FINDINGS_PER_CHECK],
+    )
 
 
 def check_atom_continuity(logs: List[EpochLog]) -> List[Finding]:
     """RT321: surviving atom sequence spaces continue across the switch."""
     findings: List[Finding] = []
     for prev, cur in zip(logs, logs[1:]):
-        common = sorted(
-            set(prev.end_atom_counters) & set(cur.start_atom_counters)
-        )
-        for atom_id in common:
+        for atom_id in sorted(set(prev.end_atom_counters) & set(cur.start_atom_counters)):
             carried = prev.end_atom_counters[atom_id]
             start = cur.start_atom_counters[atom_id]
             if start != carried:
-                findings.append(
-                    _finding(
-                        "RT321",
-                        f"atom {atom_id!r} entered epoch {cur.epoch} at "
-                        f"counter {start}, but epoch {prev.epoch} ended at "
-                        f"{carried}",
-                        repr(atom_id),
-                    )
-                )
-            if len(findings) >= MAX_FINDINGS_PER_CHECK:
-                return findings
-    return findings
+                findings.append(_finding(
+                    "RT321", f"atom {atom_id!r} entered epoch {cur.epoch} at counter "
+                    f"{start}, but epoch {prev.epoch} ended at {carried}", repr(atom_id),
+                ))
+    return findings[:MAX_FINDINGS_PER_CHECK]
 
 
 def check_exactly_once_across_epochs(logs: List[EpochLog]) -> List[Finding]:
-    """RT322: no host delivers the same message id in two epochs."""
-    findings: List[Finding] = []
-    seen: Dict[int, Dict[int, int]] = {}  # host -> msg_id -> epoch
+    """RT322: the checker's duplicate row over every epoch's deliveries,
+    in epoch order (no replay after a cutover)."""
+    checker = OrderingChecker({})
     for log in logs:
         for host in sorted(log.deliveries):
-            host_seen = seen.setdefault(host, {})
-            for record in log.deliveries[host]:
-                earlier = host_seen.get(record.msg_id)
-                if earlier is not None:
-                    findings.append(
-                        _finding(
-                            "RT322",
-                            f"host {host} delivered message {record.msg_id} "
-                            f"in epoch {earlier} and again in epoch "
-                            f"{log.epoch}",
-                            f"host {host}",
-                        )
-                    )
-                    if len(findings) >= MAX_FINDINGS_PER_CHECK:
-                        return findings
-                else:
-                    host_seen[record.msg_id] = log.epoch
-    return findings
+            for r in log.deliveries[host]:
+                checker.deliver(host, r.msg_id, r.stamp.group, r.sender, r.time)
+    verdicts = checker.verdicts(complete=False, causal=False)
+    return [_finding("RT322", message, anchor) for message, anchor in verdicts["duplicate"]]
 
 
 def check_fence_completeness(logs: List[EpochLog]) -> List[Finding]:
     """RT323: every expected member consumed its fence; buffers drained."""
     findings: List[Finding] = []
     for log in logs:
-        if log.online_switch:
-            for group in sorted(log.fence_expected):
-                missing = sorted(
-                    log.fence_expected[group]
-                    - log.fence_delivered.get(group, frozenset())
-                )
-                if missing:
-                    findings.append(
-                        _finding(
-                            "RT323",
-                            f"hosts {missing} never consumed group {group}'s "
-                            f"fence in epoch {log.epoch}",
-                            f"group {group}",
-                        )
-                    )
+        for group in sorted(log.fence_expected):
+            missing = sorted(
+                log.fence_expected[group] - log.fence_delivered.get(group, frozenset())
+            )
+            if log.online_switch and missing:
+                findings.append(_finding(
+                    "RT323", f"hosts {missing} never consumed group {group}'s fence "
+                    f"in epoch {log.epoch}", f"group {group}",
+                ))
         if log.pending_at_cutover:
-            findings.append(
-                _finding(
-                    "RT323",
-                    f"hosts {sorted(log.pending_at_cutover)} still buffered "
-                    f"messages at epoch {log.epoch}'s cutover",
-                    f"epoch {log.epoch}",
-                )
-            )
-        if len(findings) >= MAX_FINDINGS_PER_CHECK:
-            return findings
-    return findings
-
-
-def check_join_clean_prefix(logs: List[EpochLog]) -> List[Finding]:
-    """RT324: changed/added groups restart at 1 for every member."""
-    findings: List[Finding] = []
-    for prev, cur in zip(logs, logs[1:]):
-        surviving = set(_surviving(prev, cur))
-        for group in sorted(set(cur.members) - surviving):
-            start = cur.start_group_counters.get(group, 0)
-            if start != 0:
-                findings.append(
-                    _finding(
-                        "RT324",
-                        f"changed/added group {group} entered epoch "
-                        f"{cur.epoch} at counter {start}, expected a fresh "
-                        "space (0)",
-                        f"group {group}",
-                    )
-                )
-                continue
-            expected = _expected_run(cur, group, 0)
-            if not expected:
-                continue
-            joiners = sorted(
-                cur.members[group] - prev.members.get(group, frozenset())
-            )
-            for host in sorted(cur.members[group]):
-                got = _group_seqs(cur, host, group)
-                if got != expected:
-                    who = "joiner" if host in joiners else "member"
-                    findings.append(
-                        _finding(
-                            "RT324",
-                            f"{who} host {host} of group {group} saw seqs "
-                            f"{got[:8]}{'...' if len(got) > 8 else ''} in "
-                            f"epoch {cur.epoch}, expected the clean prefix "
-                            f"1...{expected[-1]}",
-                            f"group {group}",
-                        )
-                    )
-                if len(findings) >= MAX_FINDINGS_PER_CHECK:
-                    return findings
-    return findings
+            findings.append(_finding(
+                "RT323", f"hosts {sorted(log.pending_at_cutover)} still buffered "
+                f"messages at epoch {log.epoch}'s cutover", f"epoch {log.epoch}",
+            ))
+    return findings[:MAX_FINDINGS_PER_CHECK]
 
 
 def check_leaver_drained(logs: List[EpochLog]) -> List[Finding]:
@@ -332,47 +232,32 @@ def check_leaver_drained(logs: List[EpochLog]) -> List[Finding]:
     findings: List[Finding] = []
     for prev, cur in zip(logs, logs[1:]):
         for group in sorted(prev.members):
-            leavers = sorted(
-                prev.members[group] - cur.members.get(group, frozenset())
-            )
-            for host in leavers:
-                if (
-                    prev.online_switch
-                    and host
-                    not in prev.fence_delivered.get(group, frozenset())
-                ):
-                    findings.append(
-                        _finding(
-                            "RT325",
-                            f"host {host} left group {group} after epoch "
-                            f"{prev.epoch} without consuming its fence — "
-                            "its hold-back state is unaccounted for",
-                            f"host {host}",
-                        )
-                    )
+            for host in sorted(prev.members[group] - cur.members.get(group, frozenset())):
+                fenced = prev.fence_delivered.get(group, frozenset())
+                if prev.online_switch and host not in fenced:
+                    findings.append(_finding(
+                        "RT325", f"host {host} left group {group} after epoch "
+                        f"{prev.epoch} without consuming its fence — its hold-back "
+                        "state is unaccounted for", f"host {host}",
+                    ))
                 if host in prev.pending_at_cutover:
-                    findings.append(
-                        _finding(
-                            "RT325",
-                            f"host {host} left after epoch {prev.epoch} with "
-                            f"{prev.pending_at_cutover[host]} message(s) "
-                            "still buffered",
-                            f"host {host}",
-                        )
-                    )
-                if len(findings) >= MAX_FINDINGS_PER_CHECK:
-                    return findings
-    return findings
+                    findings.append(_finding(
+                        "RT325", f"host {host} left after epoch {prev.epoch} with "
+                        f"{prev.pending_at_cutover[host]} message(s) still buffered",
+                        f"host {host}",
+                    ))
+    return findings[:MAX_FINDINGS_PER_CHECK]
 
 
 def verify_churn(logs: List[EpochLog]) -> List[Finding]:
     """Run every RT32x cross-epoch check over a campaign's epoch logs."""
     sequence = sorted(logs, key=lambda log: log.epoch)
     findings: List[Finding] = []
-    findings.extend(check_group_continuity(sequence))
+    continuity, clean_prefix = check_group_spaces(sequence)
+    findings.extend(continuity)
     findings.extend(check_atom_continuity(sequence))
     findings.extend(check_exactly_once_across_epochs(sequence))
     findings.extend(check_fence_completeness(sequence))
-    findings.extend(check_join_clean_prefix(sequence))
+    findings.extend(clean_prefix)
     findings.extend(check_leaver_drained(sequence))
     return findings

@@ -8,20 +8,12 @@ unmodified protocol core over the controller-driven
 for a small topology, checking machine-readable safety invariants at each
 terminal (quiescent) state:
 
-* **MC400 pairwise order** — receivers sharing ≥ 2 groups agree on the
-  relative order of commonly delivered messages (the paper's Theorem 1,
-  checked per adversarial schedule rather than per simulated run).
-* **MC401 duplicate delivery** — no host delivered a message twice.
-* **MC402 dropped delivery** — every published message reached every
-  member (skipped when the fault plan legitimately abandons traffic).
-* **MC403 hold-back drained** — no residual buffering at quiescence.
-* **MC404 atom-sequence contiguity** — every delivered stamp carries a
-  sequence number from each active sequencing atom of its group's path,
-  and per (host, atom) the observed numbers are strictly increasing
-  (contiguous from 1 across the run when complete).
-* **MC405 group-sequence contiguity** — per (host, group) delivered
-  group-local sequence numbers are strictly increasing, and exactly
-  ``1..k`` when the run is complete.
+* **MC400–MC405** — the ordering rows of
+  :data:`repro.check.invariants.RULES` under their ``mc`` codes: group
+  order, duplicates, drops (skipped when the fault plan legitimately
+  abandons traffic), residual hold-back, per-space stamp order with every
+  stamp present (Theorem 1, checked per adversarial schedule rather than
+  per simulated run), and group-local numbering ``1..k``.
 * **MC406 graph invariants** — C1/C2 etc. on the live graph via
   :func:`repro.check.graph_verify.verify_graph` (checked once per
   exploration; the graph is schedule-independent).
@@ -58,15 +50,13 @@ from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from repro.check.findings import Finding
 from repro.check.graph_verify import verify_graph
+from repro.check.invariants import GroupSpace, fabric_checker
 from repro.runtime.explore_backend import ExploreTransport
 
 TOOL = "model-check"
 
 COUNTEREXAMPLE_FORMAT = "repro-explore-counterexample"
 COUNTEREXAMPLE_VERSION = 1
-
-#: stop emitting findings per check (mirrors repro.check.invariants)
-MAX_FINDINGS_PER_CHECK = 25
 
 #: retransmit timeout for crash scenarios (fault injection needs the
 #: reliable link layer even on loss-free wires)
@@ -308,217 +298,23 @@ class _Run:
 
 
 def check_terminal(fabric: Any, complete: bool = True) -> List[Finding]:
-    """Audit one quiescent terminal state against MC400-MC405."""
-    findings: List[Finding] = []
-    findings.extend(_check_pairwise_order(fabric))
-    findings.extend(_check_exactly_once(fabric, complete))
-    findings.extend(_check_holdback_drained(fabric))
-    findings.extend(_check_atom_contiguity(fabric, complete))
-    findings.extend(_check_group_contiguity(fabric, complete))
-    return findings
+    """Audit one quiescent terminal state against MC400-MC405.
 
-
-def _delivered(fabric: Any, host_id: int) -> List[Any]:
-    return fabric.host_processes[host_id].delivered
-
-
-def _check_pairwise_order(fabric: Any) -> List[Finding]:
-    """MC400: hosts sharing >= 2 groups agree on common delivery order."""
-    findings: List[Finding] = []
-    host_ids = sorted(fabric.host_processes)
-    groups_of = {
-        h: set(fabric.membership.groups_of(h)) for h in host_ids
-    }
-    orders = {
-        h: [r.msg_id for r in _delivered(fabric, h)] for h in host_ids
-    }
-    for i, a in enumerate(host_ids):
-        for b in host_ids[i + 1:]:
-            shared = groups_of[a] & groups_of[b]
-            if len(shared) < 2:
-                continue
-            common = set(orders[a]) & set(orders[b])
-            ordered_a = [m for m in orders[a] if m in common]
-            ordered_b = [m for m in orders[b] if m in common]
-            if ordered_a != ordered_b:
-                findings.append(
-                    _finding(
-                        "MC400",
-                        f"hosts {a} and {b} (sharing groups "
-                        f"{sorted(shared)}) delivered common messages in "
-                        f"different orders ({ordered_a[:8]} vs "
-                        f"{ordered_b[:8]})",
-                        f"hosts {a},{b}",
-                    )
-                )
-                if len(findings) >= MAX_FINDINGS_PER_CHECK:
-                    return findings
-    return findings
-
-
-def _check_exactly_once(fabric: Any, complete: bool) -> List[Finding]:
-    """MC401 (duplicates) and MC402 (drops, complete runs only)."""
-    findings: List[Finding] = []
-    counts: Dict[int, Dict[int, int]] = {}
-    for host_id in sorted(fabric.host_processes):
-        per_host: Dict[int, int] = {}
-        for record in _delivered(fabric, host_id):
-            per_host[record.msg_id] = per_host.get(record.msg_id, 0) + 1
-        counts[host_id] = per_host
-        duplicates = sorted(m for m, n in per_host.items() if n > 1)
-        if duplicates:
-            findings.append(
-                _finding(
-                    "MC401",
-                    f"host {host_id} delivered messages more than once: "
-                    f"{duplicates[:8]}",
-                    f"host {host_id}",
-                )
-            )
-    if not complete:
-        return findings
-    for msg_id in sorted(fabric.published):
-        message = fabric.published[msg_id]
-        missing = [
-            member
-            for member in sorted(fabric.membership.members(message.group))
-            if counts.get(member, {}).get(msg_id, 0) == 0
-        ]
-        if missing:
-            findings.append(
-                _finding(
-                    "MC402",
-                    f"message {msg_id} (group {message.group}) never "
-                    f"delivered at members {missing}",
-                    f"msg {msg_id}",
-                )
-            )
-        if len(findings) >= MAX_FINDINGS_PER_CHECK:
-            break
-    return findings
-
-
-def _check_holdback_drained(fabric: Any) -> List[Finding]:
-    """MC403: quiescence implies empty hold-back buffers everywhere."""
-    return [
-        _finding(
-            "MC403",
-            f"host {host_id} still buffers {pending} undeliverable "
-            "message(s) at quiescence — a sequencing gap survived "
-            "the schedule",
-            f"host {host_id}",
-        )
-        for host_id, pending in sorted(fabric.pending_messages().items())
-    ]
-
-
-def _stamping_atoms(fabric: Any) -> Dict[int, List[Any]]:
-    """Group -> active atoms that must stamp its messages, in path order."""
-    graph = fabric.graph
-    expected: Dict[int, List[Any]] = {}
-    for group in sorted(fabric.membership.groups()):
-        expected[group] = [
-            atom
-            for atom in graph.group_path(group)
-            if atom.sequences_group(group)
-            and not atom.is_ingress_only
-            and atom not in graph.retired
-        ]
-    return expected
-
-
-def _check_atom_contiguity(fabric: Any, complete: bool) -> List[Finding]:
-    """MC404: every stamp carries its path's atom seqs, without gaps."""
-    findings: List[Finding] = []
-    expected = _stamping_atoms(fabric)
-    seen_global: Dict[Any, Set[int]] = {}
-    for host_id in sorted(fabric.host_processes):
-        last: Dict[Any, int] = {}
-        for record in _delivered(fabric, host_id):
-            group = record.stamp.group
-            for atom in expected.get(group, ()):
-                seq = record.stamp.seq_of(atom)
-                if seq is None:
-                    findings.append(
-                        _finding(
-                            "MC404",
-                            f"host {host_id} delivered message "
-                            f"{record.msg_id} (group {group}) whose stamp "
-                            f"carries no sequence number from atom {atom!r}",
-                            f"host {host_id}",
-                        )
-                    )
-                    if len(findings) >= MAX_FINDINGS_PER_CHECK:
-                        return findings
-                    continue
-                seen_global.setdefault(atom, set()).add(seq)
-                previous = last.get(atom)
-                if previous is not None and seq <= previous:
-                    findings.append(
-                        _finding(
-                            "MC404",
-                            f"host {host_id} saw atom {atom!r} sequence "
-                            f"{seq} after {previous} — per-atom order "
-                            "regressed",
-                            f"host {host_id}",
-                        )
-                    )
-                    if len(findings) >= MAX_FINDINGS_PER_CHECK:
-                        return findings
-                last[atom] = seq
-    if complete:
-        for atom in sorted(seen_global, key=repr):
-            seqs = seen_global[atom]
-            expected_range = set(range(1, max(seqs) + 1))
-            gaps = sorted(expected_range - seqs)
-            if gaps:
-                findings.append(
-                    _finding(
-                        "MC404",
-                        f"atom {atom!r} sequence numbers have gaps "
-                        f"{gaps[:8]} — some stamped message vanished",
-                        f"atom {atom!r}",
-                    )
-                )
-                if len(findings) >= MAX_FINDINGS_PER_CHECK:
-                    return findings
-    return findings
-
-
-def _check_group_contiguity(fabric: Any, complete: bool) -> List[Finding]:
-    """MC405: per (host, group) group-local seqs increase (1..k complete)."""
-    findings: List[Finding] = []
-    for host_id in sorted(fabric.host_processes):
-        per_group: Dict[int, List[int]] = {}
-        for record in _delivered(fabric, host_id):
-            per_group.setdefault(record.stamp.group, []).append(
-                record.stamp.group_seq
-            )
-        for group in sorted(per_group):
-            seqs = per_group[group]
-            increasing = all(b > a for a, b in zip(seqs, seqs[1:]))
-            if not increasing:
-                findings.append(
-                    _finding(
-                        "MC405",
-                        f"host {host_id} delivered group {group} "
-                        f"sequence numbers out of order: {seqs[:10]}",
-                        f"host {host_id}",
-                    )
-                )
-            elif complete and seqs != list(range(1, len(seqs) + 1)):
-                findings.append(
-                    _finding(
-                        "MC405",
-                        f"host {host_id} delivered group {group} "
-                        f"sequence numbers {seqs[:10]} — not the "
-                        f"contiguous 1..{len(seqs)}",
-                        f"host {host_id}",
-                    )
-                )
-            if len(findings) >= MAX_FINDINGS_PER_CHECK:
-                return findings
-    return findings
+    The rows of :data:`repro.check.invariants.RULES` reported under their
+    ``mc`` codes.  A complete run must number every group from 1.
+    """
+    spaces = (
+        {group: GroupSpace(first=1) for group in fabric.membership.groups()}
+        if complete
+        else None
+    )
+    return fabric_checker(fabric, spaces).findings(
+        "mc",
+        complete=complete,
+        causal=False,
+        pending=fabric.pending_messages(),
+        tool=TOOL,
+    )
 
 
 def _graph_findings(ctx: _Context) -> List[Finding]:

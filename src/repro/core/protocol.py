@@ -851,6 +851,8 @@ class OrderingFabric:
         self.on_link_failure: Optional[Callable[[LinkFailure], None]] = None
         #: live sequencing-node relocations (see relocate_node)
         self.failovers: List[FailoverRecord] = []
+        #: channel -> (base delay, factors of the delay spikes open on it)
+        self.delay_spikes: Dict[Any, Tuple[float, List[float]]] = {}
         #: optional metrics registry (see repro.obs); instrumented lazily
         #: so fabrics without one never import the observability layer
         self.registry = registry

@@ -340,12 +340,7 @@ def execute_campaign(
             monitor.final_findings(complete=True, causal=config.check_causal)
         )
         report["live_monitor"] = {
-            "alerts": [alert.to_dict() for alert in monitor.alerts],
-            "alerts_dropped": monitor.alerts_dropped,
-            "violations": monitor.violations,
-            "warnings": sum(
-                1 for alert in monitor.alerts if alert.severity == "warning"
-            ),
+            **monitor.summary(),
             "findings": live_dicts,
             # The streamed audit view must reproduce the fabric audit's
             # verdicts exactly (RT310 non-quiescence is simulator state,

@@ -685,12 +685,7 @@ def execute_churn_campaign(
     if monitor is not None:
         monitor.detach()
         report["live_monitor"] = {
-            "alerts": [alert.to_dict() for alert in monitor.alerts],
-            "alerts_dropped": monitor.alerts_dropped,
-            "violations": monitor.violations,
-            "warnings": sum(
-                1 for alert in monitor.alerts if alert.severity == "warning"
-            ),
+            **monitor.summary(),
             "epoch_agreement": epoch_agreement,
             "agrees_with_audit": all(
                 entry["agrees"] for entry in epoch_agreement

@@ -210,15 +210,22 @@ class Partition(FaultAction):
         }
 
 
+def _spiked(base: float, factors: List[float]) -> float:
+    delay = base
+    for factor in factors:
+        delay = delay * factor
+    return delay
+
+
 @dataclass(frozen=True)
 class DelaySpike(FaultAction):
     """Multiply channel propagation delays by ``factor`` for a window.
 
     Targets every channel existing at fire time (or only those touching
-    process ``name`` when given) and restores each channel's original
-    delay — by object identity — when the window closes.  Channels
-    created during the window keep their base delay; the spike models a
-    transient congestion episode, not a topology change.  FIFO survives
+    process ``name`` when given) and restores each channel's base delay
+    when the window closes.  Channels created during the window keep
+    their base delay; the spike models a transient congestion episode,
+    not a topology change.  FIFO survives
     the mutation because channels never deliver before an earlier send.
     """
 
@@ -248,15 +255,23 @@ class DelaySpike(FaultAction):
         ]
 
     def apply(self, fabric: "OrderingFabric") -> None:
-        spiked = []
-        for channel in self._targets(fabric):
-            spiked.append((channel, channel.delay))
-            channel.delay = channel.delay * self.factor
-        fabric.sim.schedule(self.duration, self._restore, spiked)
+        # Overlapping spikes compound while both are open; the last one to
+        # close restores the base delay, not the delay current when it
+        # opened (which may be another spike's).
+        spiked = self._targets(fabric)
+        for channel in spiked:
+            base, factors = fabric.delay_spikes.setdefault(channel, (channel.delay, []))
+            factors.append(self.factor)
+            channel.delay = _spiked(base, factors)
+        fabric.sim.schedule(self.duration, self._restore, fabric, spiked)
 
-    def _restore(self, spiked: List[Tuple["Link", float]]) -> None:
-        for channel, original in spiked:
-            channel.delay = original
+    def _restore(self, fabric: "OrderingFabric", spiked: List["Link"]) -> None:
+        for channel in spiked:
+            base, factors = fabric.delay_spikes[channel]
+            factors.remove(self.factor)
+            channel.delay = _spiked(base, factors)
+            if not factors:
+                del fabric.delay_spikes[channel]
 
     def describe(self) -> Dict[str, Any]:
         return {

@@ -41,7 +41,7 @@ no guessing.  See ``docs/OBSERVABILITY.md`` ("Forensics") and the
 """
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.runtime.trace import TraceRecord
 
@@ -51,6 +51,8 @@ __all__ = [
     "Journey",
     "JourneyIndex",
     "ReceiverLeg",
+    "attribute_stall",
+    "fault_of",
     "render_journey",
     "render_stalls",
     "waits_to_dot",
@@ -71,6 +73,66 @@ CAUSE_PRIORITY = (
 )
 CAUSE_IN_FLIGHT = "in_flight"
 CAUSE_LINK_FAILURE = "link_failure"
+
+#: One piece of fault evidence: ``(time, cause, src, dst)`` with process
+#: names as the trace writes them (a failover names its node twice).
+Fault = Tuple[float, str, str, str]
+
+
+def fault_of(record: TraceRecord) -> Fault:
+    """The evidence a ``retransmit``, ``link_failure`` or ``failover``
+    record carries."""
+    data = record.data
+    if record.kind == "failover":
+        name = repr(("seq", data["node"]))
+        return (record.time, "failover_replay", name, name)
+    cause = data["cause"] if record.kind == "retransmit" else CAUSE_LINK_FAILURE
+    return (record.time, cause, data["src"], data["dst"])
+
+
+def attribute_stall(
+    host: int,
+    buffered_at: float,
+    until: float,
+    resolved: bool,
+    missing: Optional[Tuple[float, int, Iterable[int]]],
+    faults: Iterable[Fault],
+    switches: Iterable[Tuple[float, Optional[float]]],
+) -> Tuple[str, Dict[str, int]]:
+    """The one stall-attribution rule (``repro explain`` and LM303).
+
+    The window runs from the earlier of the buffering and the missing
+    predecessor's publication to ``until`` (the drain, or the end of the
+    evidence so far).  Given the predecessor's ``(publish time, sender,
+    sequencing nodes visited)`` as ``missing``, only faults on links that
+    touch its path or the stalled receiver count; else any fault does.
+    Each epoch switch overlapping the window (``end`` ``None`` while
+    open) counts as ``epoch_switch``.  Verdict: ``link_failure`` for a
+    gap that never drained, else the first cause of
+    :data:`CAUSE_PRIORITY` with evidence, else ``in_flight``.
+    """
+    since = buffered_at
+    path: Optional[Set[str]] = None
+    if missing is not None:
+        publish_time, sender, nodes = missing
+        since = min(since, publish_time)
+        path = {repr(("host", sender)), repr(("host", host))}
+        path.update(repr(("seq", node)) for node in nodes)
+    evidence: Dict[str, int] = {}
+    for time, cause, src, dst in faults:
+        if since <= time <= until and (path is None or src in path or dst in path):
+            evidence[cause] = evidence.get(cause, 0) + 1
+    for begin, end in switches:
+        if begin <= until and (end is None or end >= since):
+            evidence[CAUSE_EPOCH_SWITCH] = evidence.get(CAUSE_EPOCH_SWITCH, 0) + 1
+    if not resolved and evidence.get(CAUSE_LINK_FAILURE):
+        # The predecessor (or its delivery copy) was abandoned for good —
+        # the gap is permanent, not a slow retransmission.
+        return CAUSE_LINK_FAILURE, evidence
+    for cause in CAUSE_PRIORITY:
+        if evidence.get(cause):
+            return cause, evidence
+    return CAUSE_IN_FLIGHT, evidence
 
 
 @dataclass(frozen=True)
@@ -262,21 +324,18 @@ class JourneyIndex:
 
     Attribution runs eagerly: every :class:`BufferEvent` leaves the
     constructor with its ``missing_msg``, ``cause``, and ``evidence``
-    resolved by joining against the retransmission / link-failure /
-    failover records in the same stream.
+    resolved by :func:`attribute_stall` against the retransmission /
+    link-failure / failover records in the same stream.
     """
 
     def __init__(self, records: Iterable[TraceRecord]):
         self.journeys: Dict[int, Journey] = {}
         self.buffer_events: List[BufferEvent] = []
-        #: (time, stream index, src repr, dst repr, cause)
-        self.retransmits: List[Tuple[float, int, str, str, str]] = []
-        #: (time, src repr, dst repr, attempts)
-        self.link_failures: List[Tuple[float, str, str, int]] = []
-        #: (time, node id)
-        self.failovers: List[Tuple[float, int]] = []
-        #: (begin, end, epoch) per online epoch switch (fence drain window)
-        self.epoch_switches: List[Tuple[float, float, int]] = []
+        #: retransmissions, link failures and failovers, in stream order
+        self.faults: List[Fault] = []
+        #: (begin, end) per online epoch switch (fence drain window);
+        #: a switch still open when the trace ends has no end
+        self.epoch_switches: List[Tuple[float, Optional[float]]] = []
         self._switch_open: Dict[int, float] = {}
         self.end_time = 0.0
         #: (space key, seq) -> msg_id that was assigned that number
@@ -287,7 +346,12 @@ class JourneyIndex:
         self._occupancy: Dict[int, List[Tuple[float, int, int]]] = {}
         for index, record in enumerate(records):
             self._ingest(index, record)
-        self._attribute_all()
+        # A switch still open when the trace ends (the run stopped mid-
+        # drain) fences everything until the end of the recording.
+        for epoch in sorted(self._switch_open):
+            self.epoch_switches.append((self._switch_open[epoch], None))
+        for event in self.buffer_events:
+            self._attribute(event)
 
     @classmethod
     def from_jsonl(cls, text: str) -> "JourneyIndex":
@@ -322,16 +386,8 @@ class JourneyIndex:
             self._ingest_buffer(index, record)
         elif kind == "drain":
             self._ingest_drain(index, record)
-        elif kind == "retransmit":
-            self.retransmits.append(
-                (record.time, index, data["src"], data["dst"], data["cause"])
-            )
-        elif kind == "link_failure":
-            self.link_failures.append(
-                (record.time, data["src"], data["dst"], data["attempts"])
-            )
-        elif kind == "failover":
-            self.failovers.append((record.time, data["node"]))
+        elif kind in ("retransmit", "link_failure", "failover"):
+            self.faults.append(fault_of(record))
         elif kind == "epoch_fence":
             # Fences travel the normal sequencing path: register a journey
             # on publish (so their atom_seq records feed the sequence-space
@@ -352,7 +408,7 @@ class JourneyIndex:
                 self._switch_open[data["epoch"]] = record.time
             else:
                 begin = self._switch_open.pop(data["epoch"], record.time)
-                self.epoch_switches.append((begin, record.time, data["epoch"]))
+                self.epoch_switches.append((begin, record.time))
 
     def _ingest_atom(self, record: TraceRecord) -> None:
         data = record.data
@@ -420,92 +476,21 @@ class JourneyIndex:
 
     # -- attribution -------------------------------------------------------
 
-    def _attribute_all(self) -> None:
-        # A switch still open when the trace ends (the run stopped mid-
-        # drain) fences everything until the end of the recording.
-        for epoch in sorted(self._switch_open):
-            self.epoch_switches.append(
-                (self._switch_open[epoch], self.end_time, epoch)
-            )
-        self._switch_open.clear()
-        self.epoch_switches.sort()
-        for event in self.buffer_events:
-            self._attribute(event)
-
-    def _match_names(self, event: BufferEvent) -> Optional[List[str]]:
-        """Process names whose link trouble can explain ``event``'s gap.
-
-        When the missing predecessor is known, its reconstructed path —
-        publisher host, every sequencing node it visited, and the stalled
-        receiver — bounds the join.  When it is unknown (the predecessor
-        never reached a stamping atom, so it was still upstream), return
-        ``None``: any link's trouble is admissible evidence.
-        """
-        if event.missing_msg is None:
-            return None
-        journey = self.journeys.get(event.missing_msg)
-        if journey is None:
-            return None
-        names = [repr(("host", journey.sender)), repr(("host", event.host))]
-        for node in journey.nodes_visited():
-            names.append(repr(("seq", node)))
-        if journey.distribute_node is not None:
-            names.append(repr(("seq", journey.distribute_node)))
-        return names
-
     def _attribute(self, event: BufferEvent) -> None:
-        event.missing_msg = self._seq_owner.get(
-            (event.blocked_on, event.expected_seq)
+        owner = self._seq_owner.get((event.blocked_on, event.expected_seq))
+        event.missing_msg = owner
+        journey = self.journeys.get(owner) if owner is not None else None
+        missing = None
+        if journey is not None:
+            nodes = journey.nodes_visited()
+            if journey.distribute_node is not None:
+                nodes.append(journey.distribute_node)
+            missing = (journey.publish_time, journey.sender, nodes)
+        until = self.end_time if event.drain_time is None else event.drain_time
+        event.cause, event.evidence = attribute_stall(
+            event.host, event.time, until, event.resolved, missing,
+            self.faults, self.epoch_switches,
         )
-        window_start = event.time
-        if event.missing_msg is not None:
-            journey = self.journeys.get(event.missing_msg)
-            if journey is not None:
-                window_start = min(window_start, journey.publish_time)
-        window_end = (
-            event.drain_time if event.drain_time is not None else self.end_time
-        )
-        match = self._match_names(event)
-        evidence: Dict[str, int] = {}
-        for time, _index, src, dst, cause in self.retransmits:
-            if time < window_start or time > window_end:
-                continue
-            if match is not None and src not in match and dst not in match:
-                continue
-            evidence[cause] = evidence.get(cause, 0) + 1
-        for time, node in self.failovers:
-            if window_start <= time <= window_end:
-                name = repr(("seq", node))
-                if match is None or name in match:
-                    evidence["failover_replay"] = (
-                        evidence.get("failover_replay", 0) + 1
-                    )
-        for time, src, dst, _attempts in self.link_failures:
-            if time < window_start or time > window_end:
-                continue
-            if match is not None and src not in match and dst not in match:
-                continue
-            evidence[CAUSE_LINK_FAILURE] = evidence.get(CAUSE_LINK_FAILURE, 0) + 1
-        for begin, end, _epoch in self.epoch_switches:
-            # A stall overlapping a fence-drain window is (absent stronger
-            # fault evidence) the reconfiguration itself: the fence holds
-            # the space closed until every member catches up.
-            if begin <= window_end and end >= window_start:
-                evidence[CAUSE_EPOCH_SWITCH] = (
-                    evidence.get(CAUSE_EPOCH_SWITCH, 0) + 1
-                )
-        event.evidence = evidence
-        event.cause = self._verdict(event, evidence)
-
-    def _verdict(self, event: BufferEvent, evidence: Dict[str, int]) -> str:
-        if not event.resolved and evidence.get(CAUSE_LINK_FAILURE):
-            # The predecessor (or its delivery copy) was abandoned for
-            # good — the gap is permanent, not a slow retransmission.
-            return CAUSE_LINK_FAILURE
-        for cause in CAUSE_PRIORITY:
-            if evidence.get(cause):
-                return cause
-        return CAUSE_IN_FLIGHT
 
     # -- queries -----------------------------------------------------------
 

@@ -3,11 +3,9 @@
 Everything in this package consumes the runtime trace **as a stream**
 (via :meth:`repro.runtime.trace.Trace.subscribe`) instead of post-hoc:
 
-* :mod:`repro.obs.live.monitors` — :class:`LiveMonitor`, bounded-memory
-  streaming checks of the RT300-class invariants (rules ``LM300-LM304``)
-  with forensics cause attribution on stall alerts, plus an optional
-  retained :class:`~repro.check.RunView` whose post-hoc verdicts are
-  byte-identical to auditing the fabric directly.
+* :mod:`repro.obs.live.monitors` — :class:`LiveMonitor`, which feeds the
+  ordering checker from the stream (rules ``LM300-LM304``) and attributes
+  stall alerts with the forensics attribution function.
 * :mod:`repro.obs.live.latency` — :class:`PhaseLatencyTracker`, per-phase
   (delivery / sequencing / hold-back) fixed-bucket log-scale histograms
   with p50/p99/p999 summaries, exactly mergeable across nodes.

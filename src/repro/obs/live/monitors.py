@@ -1,91 +1,54 @@
 """Bounded-memory streaming monitors over the runtime trace stream.
 
-Where :func:`repro.check.verify_run` re-proves the RT300-class invariants
-*after* a run, :class:`LiveMonitor` subscribes to the fabric's
-:class:`~repro.runtime.trace.Trace` and checks them **incrementally**,
-record by record, with windowed state that is evicted as soon as delivery
-confirmation makes it dead:
+:class:`LiveMonitor` subscribes to the fabric's
+:class:`~repro.runtime.trace.Trace` and feeds every delivery, with the
+stamp its ``atom_seq`` records built, into the one ordering checker
+(:class:`repro.check.invariants.OrderingChecker`): a streaming rule that
+fires becomes an alert at once under its LM code (LM300 order, LM301
+duplicate, LM302 group numbering, LM304 publisher FIFO).  LM303 is the
+monitor's own: a message held back past the stall threshold, with the
+cause and evidence of :func:`repro.obs.forensics.attribute_stall` — the
+function ``repro explain`` uses.  docs/STATIC_ANALYSIS.md has the table.
 
-=====  ========  ==========================================================
-rule   severity  fires when
-=====  ========  ==========================================================
-LM300  error     a member delivers a group's messages in a different order
-                 than the order agreed by the members ahead of it (the
-                 streaming form of RT300/RT305's per-group agreement)
-LM301  error     a host delivers the same message twice while the message
-                 is still in its confirmation window (streaming RT301)
-LM302  error     a host's deliveries for a group skip or repeat the
-                 ingress-assigned group sequence number (gap = the
-                 streaming precursor of RT302/RT303)
-LM303  warning   a message sits in a hold-back buffer past the stall
-                 threshold; the alert attaches the forensics cause
-                 vocabulary (loss / outage / peer_down / failover_replay /
-                 epoch_switch / link_failure / in_flight) from the fault
-                 records observed inside the stall window
-LM304  error     a host delivers one publisher's messages to a group out
-                 of publication order (streaming RT304)
-=====  ========  ==========================================================
+Without ``retain_audit`` memory follows the *in-flight window*, not the
+run length: the checker is bounded, and the monitor drops a message's
+group number, stamp, sequence-space ownership and path once every member
+delivered it.  Fault evidence is kept back to the oldest open stall
+window or unconfirmed publication, whichever is earlier.  A duplicate
+arriving after its message left that window is only caught post hoc —
+the price of bounded state.  With ``retain_audit=True`` (the default, for
+campaigns and CI) the checker keeps its audit state and
+:meth:`LiveMonitor.final_findings` reports the same RT verdicts
+:func:`repro.check.verify_run` derives from the fabric's logs.
 
-Memory is bounded by the *in-flight window*, not the run length: per-group
-order windows are trimmed once every member passed a prefix, per-message
-state (group-sequence stamps, duplicate-detection sets, delivery counts)
-is dropped once every group member delivered the message, and fault
-evidence lives in a fixed-size ring.  A duplicate arriving *after* its
-message left the confirmation window is therefore only caught by the
-post-hoc audit — the price of bounded state, and why campaigns run both.
-
-With ``retain_audit=True`` (the default, used by campaigns and CI) the
-monitor additionally accumulates a full :class:`repro.check.RunView` from
-the same records and :meth:`final_findings` runs the *identical*
-``verify_run`` predicates over it — so the live verdicts and the post-hoc
-fabric audit cannot drift; the chaos campaign asserts they are equal.
-
-Determinism: the monitor is a pure function of the record stream.  On the
-sim backend a fixed seed reproduces the stream exactly, so the alert feed
-is byte-identical across runs (the CI ``live-monitor`` job compares the
-serialized feeds with ``cmp``).
+The monitor is a pure function of the record stream: on the sim backend a
+fixed seed gives a byte-identical alert feed.
 """
 
 import heapq
 from collections import deque
-from dataclasses import dataclass, field
-from typing import (
-    Any,
-    Deque,
-    Dict,
-    FrozenSet,
-    List,
-    Optional,
-    Set,
-    Tuple,
-)
+from dataclasses import asdict, dataclass, field
+from typing import Any, Callable, Deque, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.check.findings import Finding
-from repro.check.invariants import (
-    DeliveredEntry,
-    PublishedEntry,
-    RunView,
-    verify_run,
-)
-from repro.obs.forensics import (
-    CAUSE_IN_FLIGHT,
-    CAUSE_LINK_FAILURE,
-    CAUSE_PRIORITY,
-)
+from repro.check.invariants import RULES, OrderingChecker, stamping_spaces
+from repro.obs.forensics import Fault, attribute_stall, fault_of
 from repro.obs.live.latency import PhaseLatencyTracker
 from repro.obs.registry import MetricsRegistry
 from repro.runtime.trace import TraceRecord
 
 __all__ = ["LiveMonitor", "MonitorAlert", "MONITOR_RULES", "STALL_THRESHOLD_MS"]
 
-#: rule id -> (severity, one-line description) — the docs table source.
-MONITOR_RULES: Dict[str, Tuple[str, str]] = {
-    "LM300": ("error", "group delivery order diverges from the agreed order"),
-    "LM301": ("error", "duplicate delivery inside the confirmation window"),
-    "LM302": ("error", "group sequence number gap or repeat at a receiver"),
-    "LM303": ("warning", "hold-back stall past threshold, cause attributed"),
-    "LM304": ("error", "publisher FIFO violated at a receiver"),
-}
+#: checker rule key -> LM code, for the streaming rules
+_LM_CODE = {rule.key: rule.lm for rule in RULES if rule.lm is not None}
+
+#: rule id -> (severity, one-line description)
+MONITOR_RULES: Dict[str, Tuple[str, str]] = dict(
+    sorted(
+        [(rule.lm, ("error", rule.text)) for rule in RULES if rule.lm]
+        + [("LM303", ("warning", "hold-back stall past threshold, cause attributed"))]
+    )
+)
 
 #: Default virtual-ms a message may sit buffered before LM303 fires.
 STALL_THRESHOLD_MS = 50.0
@@ -107,40 +70,46 @@ class MonitorAlert:
     evidence: Dict[str, int] = field(default_factory=dict)
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "time": self.time,
-            "rule": self.rule,
-            "severity": self.severity,
-            "message": self.message,
-            "anchor": self.anchor,
-            "cause": self.cause,
-            "evidence": dict(self.evidence),
-        }
+        return asdict(self)
+
+
+class _Flight:
+    """What the monitor knows of one message until it is confirmed."""
+
+    __slots__ = ("publish_time", "sender", "group", "group_seq", "stamp",
+                 "nodes", "distributed", "done")
+
+    def __init__(self, publish_time: Optional[float], sender: int, group: int):
+        #: ``None`` when the stream never showed the publication
+        self.publish_time = publish_time
+        self.sender = sender
+        self.group = group
+        self.group_seq: Optional[int] = None
+        #: overlap-atom numbers in path order: (atom key, seq)
+        self.stamp: List[Tuple[str, int]] = []
+        #: sequencing nodes visited, consecutive repeats collapsed
+        self.nodes: List[int] = []
+        self.distributed: Optional[int] = None
+        self.done = False
+
+    def missing(self) -> Optional[Tuple[float, int, List[int]]]:
+        """The predecessor facts :func:`attribute_stall` takes."""
+        if self.publish_time is None:
+            return None
+        path = self.nodes if self.distributed is None else self.nodes + [self.distributed]
+        return (self.publish_time, self.sender, path)
 
 
 class LiveMonitor:
-    """Streaming RT300-class invariant monitoring over a live trace.
+    """Streaming ordering checks and stall attribution over a live trace.
 
-    Parameters
-    ----------
-    node:
-        Label for this monitor's snapshots (one per service node).
-    stall_threshold_ms:
-        Virtual-ms a message may sit in a hold-back buffer before LM303
-        raises a stall warning.
-    registry:
-        Metrics registry the phase-latency histograms register with; a
-        private enabled registry when omitted.
-    retain_audit:
-        Also accumulate the full :class:`~repro.check.RunView` so
-        :meth:`final_findings` can run the post-hoc predicates.  Turn off
-        for indefinitely-running services where only the windowed
-        monitors (and the latency plane) should retain state.
-    max_alerts:
-        Hard cap on retained alerts; further alerts are counted in
-        :attr:`alerts_dropped` but not stored.
-    fault_window:
-        Size of the fault-evidence ring used for LM303 cause attribution.
+    ``stall_threshold_ms`` is how long (virtual ms) a message may sit in
+    a hold-back buffer before LM303 warns.  ``registry`` receives the
+    phase-latency histograms (a private one when omitted).
+    ``retain_audit`` keeps the checker's audit state for
+    :meth:`final_findings`; turn it off for indefinitely-running
+    services.  At most ``max_alerts`` alerts are kept; the rest are
+    counted in :attr:`alerts_dropped`.
     """
 
     def __init__(
@@ -150,7 +119,6 @@ class LiveMonitor:
         registry: Optional[MetricsRegistry] = None,
         retain_audit: bool = True,
         max_alerts: int = 10_000,
-        fault_window: int = 512,
     ):
         self.node = node
         self.stall_threshold_ms = stall_threshold_ms
@@ -165,30 +133,40 @@ class LiveMonitor:
         self.now = 0.0
         self.epoch: Optional[int] = None
         self._trace: Optional[Any] = None
-        self._fault_window = fault_window
-        self._reset_stream_state()
-        self._reset_audit_state()
+        self._stamping: Optional[Dict[int, Tuple[str, ...]]] = None
+        self._handlers: Dict[str, Callable[[TraceRecord], None]] = {
+            "deliver": self._on_deliver,
+            "buffer": self._on_buffer,
+            "drain": self._on_drain,
+            "publish": self._on_publish,
+            "atom_seq": self._on_atom,
+            "atom_pass": self._on_atom,
+            "distribute": self._on_distribute,
+            "retransmit": self._on_fault,
+            "link_failure": self._on_fault,
+            "failover": self._on_fault,
+            "epoch_fence": self._on_epoch_fence,
+            "epoch_switch": self._on_epoch_switch,
+        }
+        self._reset()
 
     # -- lifecycle ---------------------------------------------------------
 
     def attach(self, fabric: Any) -> None:
         """Adopt a fabric's membership and subscribe to its trace.
 
-        Each attach starts a fresh monitoring window (streaming state and,
-        when retained, the audit view reset); cumulative alert and latency
-        state persists.  Re-attach on every epoch's fabric — agreement
-        with the per-epoch post-hoc audit then holds epoch by epoch.
+        Each attach starts a fresh monitoring window (checker and
+        per-message state reset); alert and latency state persists.
+        Re-attach on every epoch's fabric — agreement with the per-epoch
+        post-hoc audit then holds epoch by epoch.
         """
-        self.adopt_membership(
-            {
-                group: frozenset(fabric.membership.members(group))
-                for group in fabric.membership.groups()
-            }
-        )
-        if self._trace is not None:
-            self._trace.unsubscribe(self.observe)
-        self._reset_stream_state()
-        self._reset_audit_state()
+        self.detach()
+        self.membership = {
+            group: frozenset(fabric.membership.members(group))
+            for group in fabric.membership.groups()
+        }
+        self._stamping = stamping_spaces(fabric.graph, self.membership)
+        self._reset()
         self._trace = fabric.trace
         fabric.trace.subscribe(self.observe)
 
@@ -198,336 +176,268 @@ class LiveMonitor:
             self._trace.unsubscribe(self.observe)
             self._trace = None
 
-    def adopt_membership(
-        self, membership: Dict[int, FrozenSet[int]]
-    ) -> None:
+    def adopt_membership(self, membership: Dict[int, FrozenSet[int]]) -> None:
         """Set the group->members map the monitors check against."""
         self.membership = dict(membership)
+        self._checker.membership = self.membership
 
-    def _reset_stream_state(self) -> None:
-        #: group -> agreed delivery order window (trimmed prefix)
-        self._order_window: Dict[int, List[int]] = {}
-        #: group -> how many window entries were already trimmed
-        self._order_base: Dict[int, int] = {}
-        #: (group, host) -> deliveries seen for the group at the host
-        self._order_ptr: Dict[Tuple[int, int], int] = {}
-        #: host -> messages inside the duplicate-confirmation window
-        self._seen: Dict[int, Set[int]] = {}
-        #: msg -> deliveries counted toward full-group confirmation
-        self._deliver_count: Dict[int, int] = {}
-        #: msg -> ingress-assigned group sequence number
-        self._msg_group_seq: Dict[int, int] = {}
-        #: (host, group) -> next expected group sequence number
-        self._next_group_seq: Dict[Tuple[int, int], Optional[int]] = {}
-        #: (host, sender, group) -> last in-order msg id delivered
-        self._fifo_last: Dict[Tuple[int, int, int], int] = {}
-        #: (host, msg) -> buffering time, for stall detection
-        self._buffered: Dict[Tuple[int, int], float] = {}
+    def _reset(self) -> None:
+        self._checker = OrderingChecker(
+            self.membership,
+            stamping=self._stamping,
+            bounded=not self.retain_audit,
+            on_violation=self._on_violation,
+        )
+        #: msg -> in-flight state (bounded: dropped on confirmation)
+        self._flights: Dict[int, _Flight] = {}
+        #: (publish time, msg) in publication order, for the evidence horizon
+        self._unconfirmed: Deque[Tuple[float, int]] = deque()
+        #: (space key, seq) -> the message that was assigned that number
+        self._owners: Dict[Tuple[str, int], int] = {}
+        #: (host, msg) -> (buffering time, the missing predecessor's state)
+        self._buffered: Dict[Tuple[int, int], Tuple[float, Optional[_Flight]]] = {}
         #: min-heap of (deadline, host, msg) stall candidates
         self._stall_heap: List[Tuple[float, int, int]] = []
         self._stall_alerted: Set[Tuple[int, int]] = set()
         #: host -> current hold-back depth (buffer minus drain)
         self._holdback_depth: Dict[int, int] = {}
-        #: fault-evidence ring: (time, cause)
-        self._recent_faults: Deque[Tuple[float, str]] = deque(
-            maxlen=self._fault_window
-        )
-        #: epoch-switch windows: (begin, end-or-None), bounded
-        self._switch_windows: Deque[Tuple[float, Optional[float]]] = deque(
-            maxlen=16
-        )
+        #: fault evidence back to the evidence horizon; the ring length
+        #: that triggers the next trim (amortizes its scan)
+        self._faults: Deque[Fault] = deque()
+        self._trim_at = 64
+        #: closed epoch-switch windows (begin, end); epoch -> open begin
+        self._switches: List[Tuple[float, float]] = []
+        self._switch_open: Dict[int, float] = {}
         #: group -> (expected members, delivered members) of the live fence
         self._fence_expected: Dict[int, FrozenSet[int]] = {}
         self._fence_delivered: Dict[int, Set[int]] = {}
-
-    def _reset_audit_state(self) -> None:
-        self._view_delivered: Dict[int, List[DeliveredEntry]] = {}
-        self._view_published: Dict[int, PublishedEntry] = {}
 
     # -- the stream --------------------------------------------------------
 
     def observe(self, record: TraceRecord) -> None:
         """Consume one trace record (the trace-subscriber entry point)."""
-        self.now = record.time
-        kind = record.kind
-        if kind == "deliver":
-            self._on_deliver(record)
-        elif kind == "buffer":
-            self._on_buffer(record)
-        elif kind == "drain":
-            self._on_drain(record)
-        elif kind == "publish":
-            self._on_publish(record)
-        elif kind == "distribute":
-            self.latency.observe(record)
-        elif kind == "atom_seq":
-            group_seq = record.data.get("group_seq")
-            if group_seq is not None:
-                self._msg_group_seq[int(record.data["msg"])] = int(group_seq)
-        elif kind == "retransmit":
-            self._recent_faults.append((record.time, str(record.data["cause"])))
-        elif kind == "link_failure":
-            self._recent_faults.append((record.time, CAUSE_LINK_FAILURE))
-        elif kind == "epoch_fence":
-            self._on_epoch_fence(record)
-        elif kind == "epoch_switch":
-            self._on_epoch_switch(record)
-        self._expire_stalls(record.time)
+        now = self.now = record.time
+        handler = self._handlers.get(record.kind)
+        if handler is not None:
+            handler(record)
+        heap = self._stall_heap
+        if heap and heap[0][0] <= now:
+            self._expire_stalls(now)
+
+    def _track(self, msg: int, time: float, sender: int, group: int) -> None:
+        self._flights[msg] = _Flight(time, sender, group)
+        self._unconfirmed.append((time, msg))
 
     def _on_publish(self, record: TraceRecord) -> None:
+        data = record.data
         self.published_total += 1
         self.latency.observe(record)
-        if self.retain_audit:
-            msg = int(record.data["msg"])
-            self._view_published[msg] = PublishedEntry(
-                msg,
-                int(record.data["group"]),
-                int(record.data["sender"]),
-                record.time,
-            )
+        self._track(data["msg"], record.time, data["sender"], data["group"])
+        self._checker.publish(data["msg"], data["group"], data["sender"], record.time)
+
+    def _on_atom(self, record: TraceRecord) -> None:
+        data = record.data
+        msg = data["msg"]
+        flight = self._flights.get(msg)
+        if flight is None:
+            # Stamped before the stream showed its publication: keep the
+            # group number for LM302, but it owns no sequence space.
+            flight = self._flights[msg] = _Flight(None, -1, -1)
+        if not flight.nodes or flight.nodes[-1] != data["node"]:
+            flight.nodes.append(data["node"])
+        if record.kind == "atom_pass":
+            return
+        seq = data.get("seq")
+        group_seq = data.get("group_seq")
+        owned = flight.publish_time is not None
+        if seq is not None:
+            flight.stamp.append((data["atom"], seq))
+            if owned:
+                self._owners[(data["atom"], seq)] = msg
+        if group_seq is not None:
+            flight.group_seq = group_seq
+            if owned:
+                self._owners[(f"group:{flight.group}", group_seq)] = msg
+
+    def _on_distribute(self, record: TraceRecord) -> None:
+        self.latency.observe(record)
+        flight = self._flights.get(record.data["msg"])
+        if flight is not None:
+            flight.distributed = record.data["node"]
 
     def _on_deliver(self, record: TraceRecord) -> None:
         data = record.data
-        host = int(data["host"])
-        msg = int(data["msg"])
-        group = int(data["group"])
+        msg = data["msg"]
         self.delivered_total += 1
         self.latency.observe(record)
+        flight = self._flights.get(msg)
+        group_seq = flight.group_seq if flight is not None else None
+        stamp = flight.stamp if flight is not None and self.retain_audit else None
+        if self._checker.deliver(data["host"], msg, data["group"],
+                                 data["sender"], record.time, group_seq, stamp):
+            self._confirmed(msg)
+
+    def _confirmed(self, msg: int) -> None:
+        """Every member delivered ``msg``: its in-flight state is dead."""
         if self.retain_audit:
-            self._view_delivered.setdefault(host, []).append(
-                DeliveredEntry(
-                    msg, group, int(data["sender"]), record.time
-                )
-            )
-        # LM301: duplicate inside the confirmation window.
-        seen = self._seen.setdefault(host, set())
-        if msg in seen:
-            self._alert(
-                record.time,
-                "LM301",
-                f"host {host} delivered message {msg} again "
-                f"(group {group})",
-                f"host {host}",
-            )
-        else:
-            seen.add(msg)
-        # LM302: ingress group-sequence contiguity.
-        self._check_group_seq(record.time, host, group, msg)
-        # LM304: publisher FIFO.
-        fifo_key = (host, int(data["sender"]), group)
-        previous = self._fifo_last.get(fifo_key, -1)
-        if msg < previous:
-            self._alert(
-                record.time,
-                "LM304",
-                f"host {host} delivered message {msg} after {previous} "
-                f"from the same publisher {data['sender']} in group {group}",
-                f"host {host}",
-            )
-        else:
-            self._fifo_last[fifo_key] = msg
-        # LM300: agreement with the window's agreed order.
-        self._check_order_window(record.time, host, group, msg)
-        self._confirm_delivery(msg, group)
-
-    def _check_group_seq(
-        self, time: float, host: int, group: int, msg: int
-    ) -> None:
-        group_seq = self._msg_group_seq.get(msg)
-        key = (host, group)
-        if group_seq is None:
-            # Unknown stamp (e.g. trace attached mid-run): resynchronize.
-            self._next_group_seq[key] = None
+            flight = self._flights.get(msg)
+            if flight is not None:
+                flight.done = True
             return
-        expected = self._next_group_seq.get(key)
-        if expected is not None and group_seq != expected:
-            what = "skipped" if group_seq > expected else "repeated"
-            self._alert(
-                time,
-                "LM302",
-                f"host {host} {what} group {group} sequence numbers: "
-                f"delivered #{group_seq} where #{expected} was next "
-                f"(message {msg})",
-                f"host {host}",
-            )
-        self._next_group_seq[key] = group_seq + 1
-
-    def _check_order_window(
-        self, time: float, host: int, group: int, msg: int
-    ) -> None:
-        members = self.membership.get(group)
-        if not members or host not in members:
+        flight = self._flights.pop(msg, None)
+        if flight is None:
             return
-        window = self._order_window.setdefault(group, [])
-        base = self._order_base.setdefault(group, 0)
-        position = self._order_ptr.get((group, host), 0)
-        index = position - base
-        if index == len(window):
-            window.append(msg)  # this member extends the agreed order
-        elif 0 <= index < len(window) and window[index] != msg:
-            self._alert(
-                time,
-                "LM300",
-                f"host {host} delivered message {msg} at group {group} "
-                f"position {position} where the agreed order has "
-                f"{window[index]}",
-                f"group {group}",
-            )
-        self._order_ptr[(group, host)] = position + 1
-        # Trim the prefix every member has passed (bounded window).
-        slowest = min(
-            self._order_ptr.get((group, member), 0) for member in members
-        )
-        if slowest > base:
-            trim = min(slowest - base, len(window))
-            if trim:
-                del window[:trim]
-                self._order_base[group] = base + trim
-
-    def _confirm_delivery(self, msg: int, group: int) -> None:
-        """Evict per-message state once every group member delivered."""
-        members = self.membership.get(group)
-        if not members:
-            return
-        count = self._deliver_count.get(msg, 0) + 1
-        if count >= len(members):
-            self._deliver_count.pop(msg, None)
-            self._msg_group_seq.pop(msg, None)
-            for member in members:
-                seen = self._seen.get(member)
-                if seen is not None:
-                    seen.discard(msg)
-        else:
-            self._deliver_count[msg] = count
+        keys = list(flight.stamp)
+        if flight.group_seq is not None:
+            keys.append((f"group:{flight.group}", flight.group_seq))
+        for key in keys:
+            if self._owners.get(key) == msg:
+                del self._owners[key]
 
     def _on_buffer(self, record: TraceRecord) -> None:
-        host = int(record.data["host"])
-        msg = int(record.data["msg"])
+        data = record.data
+        host = data["host"]
         self._holdback_depth[host] = self._holdback_depth.get(host, 0) + 1
-        self._buffered[(host, msg)] = record.time
+        # The number this message waits for was assigned before the one it
+        # carries, so its owner is known now; keep the owner's state, which
+        # confirmation may drop while this stall is still open.
+        owner = self._owners.get((data.get("blocked_on"), data.get("expected_seq")))
+        self._buffered[(host, data["msg"])] = (
+            record.time, self._flights.get(owner) if owner is not None else None
+        )
         heapq.heappush(
             self._stall_heap,
-            (record.time + self.stall_threshold_ms, host, msg),
+            (record.time + self.stall_threshold_ms, host, data["msg"]),
         )
 
     def _on_drain(self, record: TraceRecord) -> None:
-        host = int(record.data["host"])
-        msg = int(record.data["msg"])
-        depth = self._holdback_depth.get(host, 0) - 1
+        key = (record.data["host"], record.data["msg"])
+        depth = self._holdback_depth.get(key[0], 0) - 1
         if depth > 0:
-            self._holdback_depth[host] = depth
+            self._holdback_depth[key[0]] = depth
         else:
-            self._holdback_depth.pop(host, None)
-        self._buffered.pop((host, msg), None)
-        self._stall_alerted.discard((host, msg))
+            self._holdback_depth.pop(key[0], None)
+        self._buffered.pop(key, None)
+        self._stall_alerted.discard(key)
         self.latency.observe(record)
+
+    def _on_fault(self, record: TraceRecord) -> None:
+        faults = self._faults
+        faults.append(fault_of(record))
+        if len(faults) < self._trim_at:
+            return
+        horizon = self._evidence_horizon(record.time)
+        while faults[0][0] < horizon:
+            faults.popleft()
+        self._switches = [w for w in self._switches if w[1] >= horizon]
+        self._trim_at = max(64, 2 * len(faults))
+
+    def _evidence_horizon(self, now: float) -> float:
+        """No stall attributed later reaches evidence before this time: a
+        window opens at the buffering or at the missing predecessor's
+        publication, both known for an open stall, and a later stall
+        waits on a message published after the oldest unconfirmed one."""
+        unconfirmed = self._unconfirmed
+        while unconfirmed:
+            flight = self._flights.get(unconfirmed[0][1])
+            if flight is not None and not flight.done:
+                break
+            unconfirmed.popleft()
+        horizon = unconfirmed[0][0] if unconfirmed else now
+        for key, (buffered_at, flight) in self._buffered.items():
+            if key not in self._stall_alerted:
+                horizon = min(horizon, buffered_at)
+                if flight is not None and flight.publish_time is not None:
+                    horizon = min(horizon, flight.publish_time)
+        return min(horizon, now)
 
     def _expire_stalls(self, now: float) -> None:
         heap = self._stall_heap
         while heap and heap[0][0] <= now:
             _deadline, host, msg = heapq.heappop(heap)
             key = (host, msg)
-            buffered_at = self._buffered.get(key)
-            if buffered_at is None or key in self._stall_alerted:
+            buffered = self._buffered.get(key)
+            if buffered is None or key in self._stall_alerted:
                 continue
             self._stall_alerted.add(key)
-            cause, evidence = self._attribute(buffered_at, now)
+            buffered_at, flight = buffered
+            switches: List[Tuple[float, Optional[float]]] = [*self._switches]
+            switches += [(begin, None) for begin in self._switch_open.values()]
+            cause, evidence = attribute_stall(
+                host, buffered_at, now, False,
+                flight.missing() if flight is not None else None,
+                self._faults, switches,
+            )
             self._alert(
-                now,
-                "LM303",
+                now, "LM303",
                 f"host {host} has buffered message {msg} for "
                 f"{now - buffered_at:.1f} ms (threshold "
                 f"{self.stall_threshold_ms:.1f} ms), cause: {cause}",
-                f"host {host}",
-                severity="warning",
-                cause=cause,
-                evidence=evidence,
+                f"host {host}", "warning", cause, evidence,
             )
-
-    def _attribute(
-        self, since: float, until: float
-    ) -> Tuple[str, Dict[str, int]]:
-        """Forensics-style cause verdict for a stall window."""
-        evidence: Dict[str, int] = {}
-        for time, cause in self._recent_faults:
-            if since <= time <= until:
-                evidence[cause] = evidence.get(cause, 0) + 1
-        for begin, end in self._switch_windows:
-            closed = until if end is None else min(end, until)
-            if begin <= until and closed >= since:
-                evidence["epoch_switch"] = evidence.get("epoch_switch", 0) + 1
-        for cause in CAUSE_PRIORITY:
-            if evidence.get(cause):
-                return cause, evidence
-        if evidence.get(CAUSE_LINK_FAILURE):
-            return CAUSE_LINK_FAILURE, evidence
-        return CAUSE_IN_FLIGHT, evidence
 
     def _on_epoch_fence(self, record: TraceRecord) -> None:
         data = record.data
-        group = int(data["group"])
-        self.epoch = int(data["epoch"])
+        group = data["group"]
+        self.epoch = data["epoch"]
         if data.get("phase") == "publish":
-            members = self.membership.get(group, frozenset())
-            self._fence_expected[group] = members
+            self._fence_expected[group] = self.membership.get(group, frozenset())
             self._fence_delivered.setdefault(group, set())
+            self._track(data["msg"], record.time, data["sender"], group)
         elif data.get("phase") == "deliver":
-            host = int(data["host"])
             delivered = self._fence_delivered.setdefault(group, set())
-            delivered.add(host)
-            # A fence consumed a group sequence number; the check against
-            # its stamp still applies, then the expectation resets for
-            # whatever numbering the next epoch starts with.
-            self._check_group_seq(
-                record.time, host, group, int(data["msg"])
+            delivered.add(data["host"])
+            flight = self._flights.get(data["msg"])
+            self._checker.consume_fence(
+                data["host"], group, data["msg"],
+                flight.group_seq if flight is not None else None, record.time,
             )
-            self._next_group_seq[(host, group)] = None
             expected = self._fence_expected.get(group)
             if expected is not None and delivered >= expected:
                 self._fence_expected.pop(group, None)
                 self._fence_delivered.pop(group, None)
+                self._confirmed(data["msg"])
 
     def _on_epoch_switch(self, record: TraceRecord) -> None:
-        phase = record.data.get("phase")
-        self.epoch = int(record.data["epoch"])
-        if phase == "begin":
-            self._switch_windows.append((record.time, None))
-        elif phase == "end" and self._switch_windows:
-            begin, end = self._switch_windows[-1]
-            if end is None:
-                self._switch_windows[-1] = (begin, record.time)
+        epoch = self.epoch = record.data["epoch"]
+        if record.data.get("phase") == "begin":
+            self._switch_open[epoch] = record.time
+        else:
+            begin = self._switch_open.pop(epoch, record.time)
+            self._switches.append((begin, record.time))
 
     # -- verdicts ----------------------------------------------------------
 
+    def _on_violation(self, key: str, time: float, message: str, anchor: str) -> None:
+        code = _LM_CODE.get(key)
+        if code is not None:
+            self._alert(time, code, message, anchor)
+
     def _alert(
-        self,
-        time: float,
-        rule: str,
-        message: str,
-        anchor: str,
-        severity: str = "error",
-        cause: Optional[str] = None,
+        self, time: float, rule: str, message: str, anchor: str,
+        severity: str = "error", cause: Optional[str] = None,
         evidence: Optional[Dict[str, int]] = None,
     ) -> None:
         if len(self.alerts) >= self.max_alerts:
             self.alerts_dropped += 1
             return
         self.alerts.append(
-            MonitorAlert(
-                time=time,
-                rule=rule,
-                severity=severity,
-                message=message,
-                anchor=anchor,
-                cause=cause,
-                evidence=evidence or {},
-            )
+            MonitorAlert(time, rule, severity, message, anchor, cause, evidence or {})
         )
 
     @property
     def violations(self) -> int:
         """Number of error-severity alerts raised so far."""
         return sum(1 for alert in self.alerts if alert.severity == "error")
+
+    def summary(self) -> Dict[str, Any]:
+        """The alert feed and its verdict counts (reports and the wire)."""
+        return {
+            "alerts": [alert.to_dict() for alert in self.alerts],
+            "alerts_dropped": self.alerts_dropped,
+            "violations": self.violations,
+            "warnings": sum(1 for a in self.alerts if a.severity == "warning"),
+        }
 
     def holdback_occupancy(self) -> Dict[int, int]:
         """Hosts with messages currently parked in hold-back buffers."""
@@ -545,33 +455,15 @@ class LiveMonitor:
                 outstanding[group] = missing
         return outstanding
 
-    def run_view(self) -> RunView:
-        """The audit view accumulated from the stream (``retain_audit``)."""
+    def final_findings(self, complete: bool = True, causal: bool = True) -> List[Finding]:
+        """The checker's RT verdicts over the streamed run — the checker
+        :func:`repro.check.verify_run` feeds from the fabric, so a
+        campaign can assert the two are identical."""
         if not self.retain_audit:
             raise RuntimeError(
                 "monitor was constructed with retain_audit=False; "
-                "no run view was accumulated"
+                "it kept no audit state"
             )
-        return RunView(
-            delivered={
-                host: list(entries)
-                for host, entries in self._view_delivered.items()
-            },
-            membership=dict(self.membership),
-            published=dict(self._view_published),
-            pending=dict(sorted(self._holdback_depth.items())),
-            track_stability=False,
-        )
-
-    def final_findings(
-        self,
-        complete: bool = True,
-        causal: bool = True,
-        mutual: bool = True,
-    ) -> List[Finding]:
-        """Post-hoc predicates over the streamed view — same code path as
-        :func:`repro.check.verify_run` on the fabric, so a campaign can
-        assert the two verdicts are identical."""
-        return verify_run(
-            self.run_view(), complete=complete, causal=causal, mutual=mutual
+        return self._checker.findings(
+            "rt", complete, causal, self.holdback_occupancy()
         )

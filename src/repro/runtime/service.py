@@ -260,15 +260,7 @@ class OrderingService:
 
     def _monitors(self) -> Dict[str, Any]:
         """The streaming-monitor alert feed and verdict counters."""
-        return {
-            "ok": True,
-            "alerts": [alert.to_dict() for alert in self.monitor.alerts],
-            "alerts_dropped": self.monitor.alerts_dropped,
-            "violations": self.monitor.violations,
-            "warnings": sum(
-                1 for a in self.monitor.alerts if a.severity == "warning"
-            ),
-        }
+        return {"ok": True, **self.monitor.summary()}
 
     def _check(self) -> Dict[str, Any]:
         """Re-prove C1/C2 (and channel consistency) over the live fabric.

@@ -13,9 +13,7 @@ export because every data value is a JSON primitive.
 
 The trace is backend-agnostic: record times come from whatever clock the
 runtime's node handle exposes, so the same analysis runs over a simulated
-run and a live asyncio run.  (This module lived at ``repro.sim.trace``
-before the transport split; that path re-exports it as a deprecated
-alias.)
+run and a live asyncio run.
 
 **Recording contract** (see :meth:`Trace.record`):
 

@@ -13,14 +13,14 @@ The kernel is deliberately small and deterministic:
   tie-breaking, so two runs with the same seed produce identical schedules.
 * :class:`~repro.sim.network.Channel` — a FIFO, constant-propagation-delay
   link between two processes, with optional Bernoulli loss.
-* :class:`~repro.sim.processes.Process` — base class for simulated nodes.
-* :class:`~repro.sim.trace.Trace` — structured event recording for metrics.
+* :class:`~repro.runtime.node.Process` — base class for simulated nodes.
+* :class:`~repro.runtime.trace.Trace` — structured event recording for metrics.
 """
 
 from repro.sim.events import EventHandle, Simulator, SimulationError
 from repro.sim.network import Channel, Network
-from repro.sim.processes import Process
-from repro.sim.trace import Trace, TraceRecord
+from repro.runtime.node import Process
+from repro.runtime.trace import Trace, TraceRecord
 
 __all__ = [
     "Channel",

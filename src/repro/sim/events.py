@@ -127,8 +127,23 @@ class Simulator:
         return handle
 
     def schedule_at(self, time: float, callback: Callable, *args: Any) -> EventHandle:
-        """Schedule ``callback(*args)`` at absolute virtual time ``time``."""
-        return self.schedule(time - self.now, callback, *args)
+        """Schedule ``callback(*args)`` at absolute virtual time ``time``.
+
+        The event is pushed at exactly ``time``: going through a relative
+        delay (``now + (time - now)``) can round below ``time`` and let a
+        FIFO-clamped packet overtake the one it was queued behind.
+        """
+        if time < self.now:
+            raise SimulationError(
+                f"cannot schedule in the past (time={time!r} < now={self.now!r})"
+            )
+        handle = EventHandle(time, self._seq, callback, args, self)
+        self._seq += 1
+        heapq.heappush(self._heap, handle)
+        self._live += 1
+        if len(self._heap) > self.heap_high_water:
+            self.heap_high_water = len(self._heap)
+        return handle
 
     def peek_time(self) -> Optional[float]:
         """Return the virtual time of the next live event, or ``None``."""

@@ -23,7 +23,7 @@ import random
 from typing import Any, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.sim.events import Simulator
-from repro.sim.processes import Process
+from repro.runtime.node import Process
 
 
 class Channel:

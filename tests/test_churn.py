@@ -184,6 +184,47 @@ def test_small_campaign_clean_and_structured():
     assert verify_churn(run.epoch_logs) == []
 
 
+def test_corrupted_epoch_logs_trip_rt320_rt322_rt324():
+    import copy
+
+    logs = execute_churn_campaign(fast_config()).epoch_logs
+
+    def codes_after(corrupt):
+        corrupted = copy.deepcopy(logs)
+        corrupt(corrupted)
+        return {f.code for f in verify_churn(corrupted)}
+
+    def drop_one(log, groups):
+        for host in sorted(log.deliveries):
+            records = log.deliveries[host]
+            for index, record in enumerate(records[:-1]):
+                if record.stamp.group in groups:
+                    del records[index]
+                    return
+        raise AssertionError("no delivery to drop")
+
+    def replay_across_epochs(corrupted):
+        host = next(h for h in sorted(corrupted[0].deliveries)
+                    if corrupted[0].deliveries[h])
+        corrupted[1].deliveries.setdefault(host, []).append(
+            corrupted[0].deliveries[host][0]
+        )
+
+    def changed_groups(prev, cur):
+        return {g for g in cur.members if prev.members.get(g) != cur.members[g]}
+
+    assert "RT320" in codes_after(lambda c: drop_one(c[0], set(c[0].members)))
+    assert "RT322" in codes_after(replay_across_epochs)
+    epoch = next(
+        i for i in range(1, len(logs))
+        if any(r.stamp.group in changed_groups(logs[i - 1], logs[i])
+               for records in logs[i].deliveries.values() for r in records[:-1])
+    )
+    assert "RT324" in codes_after(
+        lambda c: drop_one(c[epoch], changed_groups(c[epoch - 1], c[epoch]))
+    )
+
+
 def test_campaign_is_deterministic_across_runs():
     first = run_churn_campaign(fast_config())
     second = run_churn_campaign(fast_config())

@@ -151,6 +151,61 @@ def test_delay_spike_restores_delays(env32):
     assert [c.delay for c in channels] == original
 
 
+def test_overlapping_delay_spikes_restore_the_base_delay(env32):
+    fabric = reliable_fabric(env32)
+    fabric.publish(0, 0)
+    channels = list(fabric.network.channels.values())
+    original = [c.delay for c in channels]
+    plan = FaultPlan()
+    plan.add(DelaySpike(at=1.0, factor=100.0, duration=10.0))
+    plan.add(DelaySpike(at=5.0, factor=100.0, duration=10.0))
+    plan.apply(fabric)
+    fabric.sim.run(until=3.0)
+    assert [c.delay for c in channels] == [100.0 * d for d in original]
+    fabric.sim.run(until=8.0)
+    assert [c.delay for c in channels] == [100.0 * 100.0 * d for d in original]
+    fabric.sim.run(until=12.0)  # the first spike closed, the second is open
+    assert [c.delay for c in channels] == [100.0 * d for d in original]
+    fabric.run()
+    assert [c.delay for c in channels] == original
+
+
+@pytest.mark.parametrize("seed", [1, 3, 5])
+def test_spiked_channels_keep_fifo_under_poisson_load(seed):
+    """x100 spikes on the busiest sequencing nodes clamp many packets
+    behind earlier ones; each must still arrive after its predecessor."""
+    from repro.experiments.common import ExperimentEnv
+    from repro.workloads.zipf import zipf_membership
+
+    env = ExperimentEnv(n_hosts=24, seed=seed)
+    snapshot = zipf_membership(24, 12, rng=random.Random(seed + 1))
+    fabric = env.build_fabric(env.membership_from(snapshot), seed=seed, trace=False)
+    rng = random.Random(seed)
+    now = 0.0
+    for _ in range(300):
+        now += rng.expovariate(4.0)
+        group = sorted(snapshot)[rng.randrange(len(snapshot))]
+        members = sorted(snapshot[group])
+        fabric.sim.schedule_at(
+            now, fabric.publish, members[rng.randrange(len(members))], group
+        )
+    busiest = sorted(
+        fabric.node_processes.values(),
+        key=lambda p: (-len(p.atom_runtimes), p.node_id),
+    )[:4]
+    plan = FaultPlan()
+    for index, node in enumerate(busiest):
+        plan.add(
+            DelaySpike(
+                at=now * (0.1 + 0.175 * index), factor=100.0,
+                duration=now * 0.2, name=node.name,
+            )
+        )
+    plan.apply(fabric)
+    fabric.run()
+    assert verify_run(fabric) == []
+
+
 def test_loss_window_restores_loss_rate(env32):
     fabric = reliable_fabric(env32)
     fabric.publish(0, 0)

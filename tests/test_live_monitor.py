@@ -1,14 +1,16 @@
 """Streaming invariant monitors, phase percentiles, telemetry snapshots."""
 
 import json
+import re
 
 import pytest
 
 from repro.check.explore import MUTATIONS
-from repro.check.invariants import fabric_view, verify_run
+from repro.check.invariants import verify_run
 from repro.experiments.common import ExperimentEnv
 from repro.faults.campaign import ChaosConfig, execute_campaign, run_campaign
 from repro.faults.churn import ChurnConfig, run_churn_campaign
+from repro.obs.forensics import JourneyIndex
 from repro.obs.live import (
     MONITOR_RULES,
     LiveMonitor,
@@ -53,12 +55,7 @@ class TestCleanRun:
         monitor = LiveMonitor()
         fabric = _clean_run(monitor=monitor)
         live = monitor.final_findings(complete=True, causal=True)
-        post = verify_run(
-            fabric_view(fabric),
-            complete=True,
-            causal=True,
-            mutual=True,
-        )
+        post = verify_run(fabric, complete=True, causal=True)
         assert [f.code for f in live] == [f.code for f in post]
         assert live == post
 
@@ -71,19 +68,20 @@ class TestCleanRun:
         )
 
     def test_confirmation_eviction_bounds_memory(self):
-        monitor = LiveMonitor()
+        monitor = LiveMonitor(retain_audit=False)
         _clean_run(monitor=monitor)
         # Every message fully delivered -> all per-message state evicted.
-        assert monitor._deliver_count == {}
-        assert monitor._msg_group_seq == {}
-        assert all(not seen for seen in monitor._seen.values())
+        assert monitor._checker._count == {}
+        assert monitor._flights == {}
+        assert monitor._owners == {}
+        assert all(not seen for seen in monitor._checker._seen.values())
         assert monitor.holdback_occupancy() == {}
 
     def test_retain_audit_false_has_no_run_view(self):
         monitor = LiveMonitor(retain_audit=False)
         _clean_run(monitor=monitor)
         with pytest.raises(RuntimeError):
-            monitor.run_view()
+            monitor.final_findings()
 
 
 class TestSyntheticRules:
@@ -216,10 +214,7 @@ class TestMutationDetection:
         fabric.run()
         assert monitor.violations > 0
         live = monitor.final_findings(complete=True, causal=True)
-        post = verify_run(
-            fabric_view(fabric),
-            complete=True, causal=True, mutual=True,
-        )
+        post = verify_run(fabric, complete=True, causal=True)
         assert live == post
         assert post, "post-hoc audit should also flag the mutation"
 
@@ -282,6 +277,50 @@ class TestCampaignIntegration:
         assert json.dumps(pruned, sort_keys=True) == json.dumps(
             without, sort_keys=True
         )
+
+
+class TestAttributionAgreement:
+    """LM303 and ``repro explain`` name a stall's cause with one function."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("retain_audit", [True, False])
+    def test_lm303_equals_journey_attribution_on_the_prefix(
+        self, seed, retain_audit
+    ):
+        run = execute_campaign(ChaosConfig(seed=seed))
+        records = list(run.fabric.trace)
+        monitor = LiveMonitor(retain_audit=retain_audit)
+        monitor.adopt_membership(
+            {
+                group: frozenset(run.fabric.membership.members(group))
+                for group in run.fabric.membership.groups()
+            }
+        )
+        checked = 0
+        for index, record in enumerate(records):
+            before = len(monitor.alerts)
+            monitor.observe(record)
+            stalls = [a for a in monitor.alerts[before:] if a.rule == "LM303"]
+            if not stalls:
+                continue
+            # The trace prefix ending at the record that fired the alerts.
+            journeys = JourneyIndex(records[: index + 1])
+            for alert in stalls:
+                host, msg = map(
+                    int,
+                    re.match(
+                        r"host (\d+) has buffered message (\d+)", alert.message
+                    ).groups(),
+                )
+                event = [
+                    e for e in journeys.buffer_events
+                    if (e.host, e.msg_id) == (host, msg)
+                ][-1]
+                assert not event.resolved
+                assert alert.cause == event.cause, (alert, event)
+                assert alert.evidence == event.evidence, (alert, event)
+                checked += 1
+        assert checked > 0
 
 
 class TestChurnIntegration:

@@ -8,7 +8,7 @@ import pytest
 from repro.experiments.common import ExperimentEnv
 from repro.obs import exporters
 from repro.obs.registry import MetricsRegistry
-from repro.sim.trace import Trace, TraceRecord
+from repro.runtime.trace import Trace, TraceRecord
 
 SNAPSHOT = {
     0: frozenset({0, 1, 2, 3}),

@@ -64,6 +64,25 @@ def test_schedule_at_absolute_time():
     assert fired == [7.0]
 
 
+def test_schedule_at_pushes_the_exact_time():
+    # now + (time - now) rounds below time here; the event must not.
+    sim = Simulator()
+    sim.schedule(0.2, lambda: None)
+    sim.run()
+    time = 0.9
+    assert sim.now + (time - sim.now) < time
+    handle = sim.schedule_at(time, lambda: None)
+    assert handle.time == time
+
+
+def test_schedule_at_rejects_the_past():
+    sim = Simulator()
+    sim.schedule(2.0, lambda: None)
+    sim.run()
+    with pytest.raises(SimulationError):
+        sim.schedule_at(1.0, lambda: None)
+
+
 def test_cancel_prevents_execution():
     sim = Simulator()
     fired = []

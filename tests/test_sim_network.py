@@ -6,7 +6,7 @@ import pytest
 
 from repro.sim.events import Simulator
 from repro.sim.network import Channel, Network
-from repro.sim.processes import Process
+from repro.runtime.node import Process
 
 
 class Sink(Process):

@@ -1,6 +1,6 @@
 """Unit tests for the trace recorder."""
 
-from repro.sim.trace import Trace, TraceRecord
+from repro.runtime.trace import Trace, TraceRecord
 
 
 def test_record_and_len():

@@ -37,7 +37,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import, avoids obs coupling
-    from repro.obs.profiler import PhaseProfiler
     from repro.obs.registry import MetricsRegistry
 
 from repro.core.atoms import AtomRuntime, build_atom_runtimes
@@ -321,20 +320,6 @@ class HostProcess(Process):
             self.handle(packet)
 
     def handle(self, payload: Any) -> None:
-        profiler = self.fabric.profiler
-        if profiler is not None and profiler.enabled:
-            # "delivery" phase: the deliver-or-buffer decision, hold-back
-            # drain, and stability bookkeeping (nested trace time is
-            # subtracted by the profiler's exclusive accounting).
-            profiler.enter("delivery")
-            try:
-                self._handle(payload)
-            finally:
-                profiler.exit()
-            return
-        self._handle(payload)
-
-    def _handle(self, payload: Any) -> None:
         if isinstance(payload, StableNotice):
             self.stable_ids.add(payload.msg_id)
             return
@@ -565,19 +550,6 @@ class SequencingNodeProcess(Process):
 
     def process_at(self, atom_id: AtomId, message: Message) -> None:
         """Run the message through co-located atoms until it leaves."""
-        profiler = self.fabric.profiler
-        if profiler is not None and profiler.enabled:
-            # "sequencing" phase: atom visits plus the forwarding or
-            # distribution send the visit ends in.
-            profiler.enter("sequencing")
-            try:
-                self._process_at(atom_id, message)
-            finally:
-                profiler.exit()
-            return
-        self._process_at(atom_id, message)
-
-    def _process_at(self, atom_id: AtomId, message: Message) -> None:
         trace = self.fabric.trace
         if trace.enabled:
             # Guarded: hop records are high-volume, so the disabled path
@@ -692,12 +664,6 @@ class OrderingFabric:
         Per-packet retransmission budget before the packet is abandoned
         and a :class:`LinkFailure` surfaced (default
         :data:`MAX_RETRANSMITS`).
-    profiler:
-        Optional :class:`~repro.obs.profiler.PhaseProfiler`; when given
-        (and enabled) the event loop, sequencing nodes, receivers, and
-        the trace attribute their wall time to it.  Profiling reads the
-        clock and bumps counters only — it can never change simulation
-        outcomes.
     runtime:
         Optional :class:`~repro.runtime.interfaces.RuntimeBackend`.  By
         default the fabric builds a
@@ -728,7 +694,6 @@ class OrderingFabric:
         track_stability: bool = False,
         registry: Optional["MetricsRegistry"] = None,
         max_retransmits: Optional[int] = None,
-        profiler: Optional["PhaseProfiler"] = None,
         runtime: Optional[RuntimeBackend] = None,
     ):
         import random as _random
@@ -766,13 +731,6 @@ class OrderingFabric:
         self.network = runtime.transport
         self.trace = Trace(enabled=trace)
         runtime.attach_trace(self.trace)
-        #: optional hot-path phase profiler (see repro.obs.profiler);
-        #: shared with the simulator and the trace so all three attribute
-        #: wall time into one set of phase accumulators
-        self.profiler = profiler
-        if profiler is not None:
-            self.sim.profiler = profiler
-            self.trace.profiler = profiler
         #: optional application callback invoked on every delivery
         self.on_deliver: Optional[Callable[[int, DeliveryRecord], None]] = None
 
@@ -1375,21 +1333,6 @@ class OrderingFabric:
         to quiescence before checking.
         """
         return set(self.host_processes[host_id].stable_ids)
-
-    def atom_work(self) -> Dict[str, int]:
-        """Aggregate per-atom stamping work across every sequencing node.
-
-        Deterministic per seed (pure visit counts), so the bench harness
-        records it in a ``BENCH_*.json`` counts section: total atom
-        visits, stamps issued, and pass-through forwards.
-        """
-        visits = stamps = passes = 0
-        for process in self.node_processes.values():
-            for runtime in process.atom_runtimes.values():
-                visits += runtime.visits
-                stamps += runtime.messages_sequenced
-                passes += runtime.messages_passed_through
-        return {"visits": visits, "stamps": stamps, "pass_through": passes}
 
     def sequencing_load(self) -> Dict[int, int]:
         """Distinct message visits per sequencing node.

@@ -19,15 +19,11 @@ The package has four parts:
   records.  Surfaced as the ``repro explain`` CLI subcommand.
 * :mod:`repro.obs.hooks` — wiring that attaches a registry to a running
   :class:`~repro.core.protocol.OrderingFabric` and its simulator.
-* :mod:`repro.obs.profiler` — the hot-path phase profiler: exclusive
-  wall-time attribution (dispatch / sequencing / delivery / trace) with
-  deterministic per-kind dispatch counts and measured self-cost.
-* :mod:`repro.obs.bench` — the ``repro bench`` harness: fixed-seed
-  workload suites emitting schema-versioned ``BENCH_*.json`` reports and
-  the regression-gating comparison between two of them.
 * :mod:`repro.obs.resources` — peak-RSS and GC-pause sampling with no-op
   fallbacks, exported through the registry.
 
+Wall time per layer is not measured in here: the benchmark's traced run
+(``perfbench/run.py --trace 1``) wraps each layer's calls from outside.
 See ``docs/OBSERVABILITY.md`` for the full model and overhead notes.
 """
 
@@ -47,12 +43,6 @@ from repro.obs.registry import (
     NULL_REGISTRY,
     log_buckets,
 )
-from repro.obs.profiler import (
-    NULL_PROFILER,
-    PROFILE_PHASES,
-    PhaseProfiler,
-    maybe_profiler,
-)
 from repro.obs.resources import GcPauseSampler, peak_rss_bytes
 from repro.obs.spans import MessageSpan, PHASES, build_spans, phase_breakdown_by_group
 
@@ -65,12 +55,8 @@ __all__ = [
     "Journey",
     "JourneyIndex",
     "MetricsRegistry",
-    "NULL_PROFILER",
     "NULL_REGISTRY",
-    "PROFILE_PHASES",
-    "PhaseProfiler",
     "log_buckets",
-    "maybe_profiler",
     "MessageSpan",
     "PHASES",
     "build_spans",

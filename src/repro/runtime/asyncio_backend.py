@@ -14,7 +14,7 @@ Design notes
 * **Same observable surface as the simulator.**
   :class:`AsyncioScheduler` exposes ``now`` / ``schedule`` /
   ``schedule_at`` / ``pending`` / ``events_executed`` /
-  ``heap_high_water`` / ``profiler`` exactly like
+  ``heap_high_water`` exactly like
   :class:`~repro.sim.events.Simulator`, and :class:`AsyncioChannel` /
   :class:`AsyncioNetwork` mirror :class:`~repro.sim.network.Channel` /
   :class:`~repro.sim.network.Network` counter-for-counter, so the
@@ -48,7 +48,6 @@ from repro.runtime.errors import RuntimeUnavailable, SimulationError
 from repro.runtime.wallclock import LiveClock, read_wall_clock
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
-    from repro.obs.profiler import PhaseProfiler
     from repro.runtime.node import Process
     from repro.runtime.trace import Trace
 
@@ -99,13 +98,6 @@ class AsyncioScheduler:
         self._live = 0
         #: peak concurrent live timers (the live analogue of heap depth)
         self.heap_high_water = 0
-        #: sampling-profiler fields kept for simulator parity (the live
-        #: backend does not sample callback wall time — wall time *is*
-        #: the clock here)
-        self.callbacks_sampled = 0
-        self.callback_wall_time = 0.0
-        #: optional phase profiler (see :mod:`repro.obs.profiler`)
-        self.profiler: Optional["PhaseProfiler"] = None
         #: extra pending-work sources (e.g. the network's undrained
         #: inboxes) folded into :attr:`pending` for quiescence checks
         self._pending_sources: List[Callable[[], int]] = []
@@ -163,13 +155,7 @@ class AsyncioScheduler:
         self._live -= 1
         self.events_executed += 1
         try:
-            profiler = self.profiler
-            if profiler is not None and profiler.enabled:
-                profiler.dispatch_begin(callback)
-                callback(*args)
-                profiler.dispatch_end(self.now)
-            else:
-                callback(*args)
+            callback(*args)
         except BaseException as exc:  # noqa: BLE001 - surfaced at drain
             self._errors.append(exc)
 
@@ -305,6 +291,8 @@ class AsyncioNetwork:
         self._processes: Dict[Any, "Process"] = {}
         self._inboxes: Dict[Any, "asyncio.Queue[Tuple[Any, AsyncioChannel]]"] = {}
         self._pumps: Dict[Any, "asyncio.Task[None]"] = {}
+        #: set by :meth:`stop_pumps`; a closed backend starts no new pumps
+        self._stopped = False
         self._channels: Dict[Tuple[Any, Any], AsyncioChannel] = {}
         self._cuts: List[Tuple[float, FrozenSet[Any], Optional[FrozenSet[Any]]]] = []
         self._retired_totals: Dict[str, int] = {k: 0 for k in self._CARRIED_STATS}
@@ -335,18 +323,6 @@ class AsyncioNetwork:
 
     # -- pumps (the per-process asyncio tasks) -----------------------------
 
-    def ensure_pumps(self) -> None:
-        """Start an inbox-draining task for every process lacking one.
-
-        Must be called with the backend's event loop running; the drain
-        loops call it each poll so processes registered mid-run (e.g. by
-        a failover) get their task too.
-        """
-        for name in self._processes:
-            task = self._pumps.get(name)
-            if task is None or task.done():
-                self._pumps[name] = asyncio.ensure_future(self._pump(name))
-
     async def _pump(self, name: Any) -> None:
         process = self._processes[name]
         inbox = self._inboxes[name]
@@ -363,9 +339,18 @@ class AsyncioNetwork:
     def _enqueue(self, dst: "Process", payload: Any, channel: AsyncioChannel) -> None:
         self._unprocessed += 1
         self._inboxes[dst.name].put_nowait((payload, channel))
+        # The destination's pump starts with its first packet, so on a
+        # hosted loop processes run without anyone draining first, and
+        # processes registered mid-run (a failover standby, the next
+        # epoch's fabric) get their task the same way.  Arrival timers
+        # are the only callers, so the event loop is running here.
+        task = self._pumps.get(dst.name)
+        if not self._stopped and (task is None or task.done()):
+            self._pumps[dst.name] = asyncio.ensure_future(self._pump(dst.name))
 
     def stop_pumps(self) -> None:
-        """Cancel every pump task (backend shutdown)."""
+        """Cancel every pump task and start no more (backend shutdown)."""
+        self._stopped = True
         for task in self._pumps.values():
             task.cancel()
         self._pumps.clear()
@@ -601,7 +586,6 @@ class AsyncioTransport:
         # Poll finely enough to notice quiescence quickly at any scale.
         poll = min(max(self.clock.time_scale, 0.0005), 0.02)
         while True:
-            self.transport.ensure_pumps()
             self._raise_pending_errors()
             if until is not None and self.clock.now >= until:
                 break

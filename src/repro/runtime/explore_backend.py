@@ -109,7 +109,6 @@ class ExploreScheduler:
         self._now = 0.0
         self._seq = 0
         self.events_executed = 0
-        self.profiler = None
         self._timers: Dict[int, _ExploreTimer] = {}
         #: timers scheduled while True are "plan" timers (fault actions)
         self._recording_plan = True

@@ -85,11 +85,6 @@ class Trace:
         )
         self._counts: Dict[str, int] = {}
         self._subscribers: List[Callable[[TraceRecord], None]] = []
-        #: optional phase profiler (see :mod:`repro.obs.profiler`); when
-        #: attached and enabled, the record body and every subscriber are
-        #: timed under the "trace" phase so observability's own cost shows
-        #: up in the bench breakdown instead of inflating other phases.
-        self.profiler: Optional[Any] = None
 
     def record(self, time: float, kind: str, **data: Any) -> None:
         """Append one record; when disabled, only bump the kind counter."""
@@ -97,11 +92,6 @@ class Trace:
         counts[kind] = counts.get(kind, 0) + 1
         if not self.enabled:
             return
-        profiler = self.profiler
-        if profiler is not None and profiler.enabled:
-            profiler.enter("trace")
-        else:
-            profiler = None
         rec = TraceRecord(time, kind, data)
         self._records.append(rec)
         if self._by_kind is not None:
@@ -112,8 +102,6 @@ class Trace:
                 index.append(rec)
         for subscriber in self._subscribers:
             subscriber(rec)
-        if profiler is not None:
-            profiler.exit()
 
     def count(self, kind: str) -> int:
         """Number of records of ``kind`` (counted even when disabled)."""

@@ -5,9 +5,9 @@ SL101 rule enforces that across every sim-scoped package, including this
 one (``repro.runtime`` is in the enforcement scope).  The two call sites
 below carry the only sanctioned suppressions:
 
-* :func:`read_wall_clock` — the sampling shim used by the profiler, the
-  bench harness, and resource accounting.  Wall time is the *measured
-  quantity* there, never an input to protocol decisions.
+* :func:`read_wall_clock` — the sampling shim used by GC-pause accounting
+  and the asyncio backend's run-time safety ceiling.  Wall time is the
+  *measured quantity* there, never an input to protocol decisions.
 * :class:`LiveClock` — the live runtime's time source.  A real deployment
   has no virtual clock; the asyncio backend derives its millisecond
   timeline from one monotonic read per ``now`` access, confined here so

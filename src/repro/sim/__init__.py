@@ -17,7 +17,7 @@ The kernel is deliberately small and deterministic:
 * :class:`~repro.runtime.trace.Trace` — structured event recording for metrics.
 """
 
-from repro.sim.events import EventHandle, Simulator, SimulationError
+from repro.sim.events import EventHandle, Simulator
 from repro.sim.network import Channel, Network
 from repro.runtime.node import Process
 from repro.runtime.trace import Trace, TraceRecord
@@ -27,7 +27,6 @@ __all__ = [
     "EventHandle",
     "Network",
     "Process",
-    "SimulationError",
     "Simulator",
     "Trace",
     "TraceRecord",

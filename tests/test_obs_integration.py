@@ -11,6 +11,11 @@ from repro.experiments.common import ExperimentEnv
 from repro.experiments.runner import run_selected
 from repro.obs import exporters
 from repro.obs.registry import MetricsRegistry
+from repro.obs.resources import (
+    GcPauseSampler,
+    peak_rss_bytes,
+    register_process_collectors,
+)
 from repro.sim.events import Simulator
 from repro.runtime.trace import Trace
 from repro.workloads.zipf import zipf_membership
@@ -98,19 +103,25 @@ class TestSimulatorCounters:
         sim.run()
         assert sim.heap_high_water == 5
 
-    def test_callback_profiling_samples_every_nth(self):
-        sim = Simulator(profile_every=2)
-        for i in range(10):
-            sim.schedule(float(i), lambda: None)
-        sim.run()
-        assert sim.callbacks_sampled == 5
-        assert sim.callback_wall_time >= 0.0
 
-    def test_profiling_off_by_default(self):
-        sim = Simulator()
-        sim.schedule(0.0, lambda: None)
-        sim.run()
-        assert sim.callbacks_sampled == 0
+def test_process_collectors_export_rss_and_gc():
+    rss = peak_rss_bytes()
+    assert rss is None or rss > 0
+    registry = MetricsRegistry()
+    sampler = GcPauseSampler()
+    register_process_collectors(registry, sampler=sampler)
+    with sampler:
+        import gc
+
+        gc.collect()
+    if sampler.supported:
+        assert sampler.pauses >= 1
+        assert sampler.pause_seconds >= 0
+    text = exporters.registry_to_prometheus(registry)
+    assert "repro_gc_collections" in text
+    assert "repro_gc_pauses" in text
+    if rss is not None:
+        assert "repro_process_peak_rss_bytes" in text
 
 
 def _burst_fabric(registry):

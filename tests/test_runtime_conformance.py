@@ -16,6 +16,7 @@ the asyncio backend — only ordering, counts of protocol-level outcomes,
 and invariant cleanliness.
 """
 
+import asyncio
 import random
 
 import pytest
@@ -240,3 +241,45 @@ def test_sim_backend_is_deterministic(env32):
             ]
         )
     assert orders[0] == orders[1]
+
+
+# -- hosted runtimes run without a drain -------------------------------------
+
+
+def test_hosted_service_delivers_before_any_drain():
+    """A hosted fabric's processes run as soon as packets reach them.
+
+    No client ever sends ``drain`` here, before or after a membership
+    change moves the service onto its successor runtime; polling
+    ``delivered`` must still see every member receive every message.
+    """
+    from repro.runtime.service import OrderingService
+
+    async def delivered_everywhere(service, count):
+        # ~2 s of wall time: thousands of virtual ms at this time scale.
+        for _ in range(400):
+            replies = [
+                await service.handle({"op": "delivered", "host": host})
+                for host in range(4)
+            ]
+            if all(len(reply["records"]) == count for reply in replies):
+                return True
+            await asyncio.sleep(0.005)
+        return False
+
+    async def scenario():
+        service = OrderingService(n_hosts=4, seed=0, time_scale=LIVE_TIME_SCALE)
+        try:
+            for host in range(4):
+                await service.handle({"op": "subscribe", "host": host, "topic": "a"})
+            await service.handle({"op": "publish", "sender": 0, "topic": "a"})
+            first_epoch = await delivered_everywhere(service, 1)
+            await service.handle({"op": "subscribe", "host": 0, "topic": "b"})
+            await service.handle({"op": "publish", "sender": 1, "topic": "a"})
+            assert service.bus._fabric.epoch == 1
+            second_epoch = await delivered_everywhere(service, 2)
+            return first_epoch, second_epoch
+        finally:
+            service.bus.close()
+
+    assert asyncio.run(scenario()) == (True, True)

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.sim.events import SimulationError, Simulator
+from repro.runtime.errors import SimulationError
+from repro.sim.events import Simulator
 
 
 def test_initial_state():

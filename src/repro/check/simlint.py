@@ -51,10 +51,12 @@ SIM_SCOPED_PREFIXES = (
     "repro.sim",
     "repro.core",
     "repro.runtime",
-    # The live telemetry plane consumes the trace stream in-path; its
-    # alert feeds are byte-compared across fixed-seed runs, so it must
-    # be a pure function of the record stream (virtual time only).
+    # The live telemetry plane and the lifecycle fold it runs consume
+    # the trace stream in-path; its alert feeds are byte-compared across
+    # fixed-seed runs, so both must be pure functions of the record
+    # stream (virtual time only).
     "repro.obs.live",
+    "repro.obs.lifecycle",
 )
 
 #: dotted module prefixes in which the "async"-scoped rules (the

@@ -13,7 +13,7 @@ Subcommands::
     repro workload replay out.json   # replay a saved workload, verify order
     repro trace run --hosts 32 --groups 8 --out run.jsonl \
                     --chrome run.trace.json --metrics metrics.prom
-                                     # instrumented run: lifecycle spans,
+                                     # instrumented run: phase latencies,
                                      # Perfetto trace, Prometheus metrics
     repro check --format json        # static analysis: simlint determinism
                                      # rules + C1/C2 graph verification
@@ -594,8 +594,8 @@ def _cmd_workload(args: argparse.Namespace) -> int:
 
 def _cmd_trace(args: argparse.Namespace) -> int:
     from repro.obs import exporters
-    from repro.obs import spans as spans_mod
-    from repro.obs.live import PHASES, PhaseLatencyTracker
+    from repro.obs.lifecycle import SERIES, Lifecycle, breakdown_by_group, render_phase_table
+    from repro.obs.live import PhaseLatencyTracker
     from repro.obs.registry import MetricsRegistry
     from repro.obs.resources import GcPauseSampler, register_process_collectors
 
@@ -609,8 +609,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     fabric = env.build_fabric(
         membership, seed=args.seed, trace=True, registry=registry
     )
-    latency = PhaseLatencyTracker(registry=registry)
-    fabric.trace.subscribe(latency.observe)
     groups = sorted(snapshot)
     with gc_sampler:
         for _ in range(args.events):
@@ -622,8 +620,12 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         fabric.run()
     stuck = fabric.pending_messages()
 
-    span_map = spans_mod.build_spans(fabric.trace)
-    breakdown = spans_mod.phase_breakdown_by_group(span_map)
+    life = Lifecycle()
+    latency = PhaseLatencyTracker(registry=registry)
+    for record in fabric.trace:
+        life.fold(record)
+        if record.kind == "deliver":
+            latency.observe(record, life.journeys.get(record.data["msg"]))
     print(
         f"published {args.events} messages over {len(groups)} groups "
         f"({args.hosts} hosts); {fabric.sim.events_executed} events, "
@@ -631,12 +633,12 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     )
     print()
     print("per-group mean phase latency breakdown:")
-    print(spans_mod.render_phase_table(breakdown))
+    print(render_phase_table(breakdown_by_group(life.journeys)))
     print()
     print("per-phase latency percentiles (virtual ms):")
     summary = latency.summary()
     print(f"{'phase':<12}{'count':>8}{'p50':>10}{'p99':>10}{'p999':>10}{'max':>10}")
-    for phase in PHASES:
+    for phase in SERIES:
         stats = summary[phase]
         print(
             f"{phase:<12}{int(stats['count']):>8}"

@@ -235,7 +235,7 @@ class OrderedPubSub:
     def close(self) -> None:
         """Release the current fabric's runtime resources (idempotent)."""
         if self._fabric is not None:
-            self._fabric.runtime.close()
+            self._fabric.close()
 
     # -- messaging -------------------------------------------------------------
 

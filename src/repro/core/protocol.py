@@ -1284,6 +1284,19 @@ class OrderingFabric:
         """
         return self.runtime.run(until=until, max_events=max_events)
 
+    def close(self) -> None:
+        """Release the runtime backend (pump tasks, an owned event loop).
+
+        Idempotent; ``with fabric:`` closes on exit.
+        """
+        self.runtime.close()
+
+    def __enter__(self) -> "OrderingFabric":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
+
     def delivered(self, host_id: int) -> List[DeliveryRecord]:
         """Messages delivered to a host, in delivery order."""
         return list(self.host_processes[host_id].delivered)

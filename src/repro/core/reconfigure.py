@@ -448,5 +448,5 @@ def reconfigure(
     # The old epoch's backend is done executing (quiescent, or drained to
     # its fences); release its resources — a no-op for the simulated
     # backend, pump-task teardown for the live one.
-    fabric.runtime.close()
+    fabric.close()
     return next_fabric

@@ -647,7 +647,7 @@ def execute_churn_campaign(
         close_epoch(fabric, online_switch=False)
     # reconfigure() closed each superseded epoch's runtime; the current
     # fabric's is still live (asyncio tasks + loop under that backend).
-    fabric.runtime.close()
+    fabric.close()
     findings.extend(
         {
             "code": f.code,

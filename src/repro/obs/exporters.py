@@ -23,7 +23,7 @@ import pathlib
 from typing import Dict, List, Union
 
 from repro.obs.registry import Histogram, MetricsRegistry
-from repro.obs.spans import build_spans, hop_intervals
+from repro.obs.lifecycle import Lifecycle
 from repro.runtime.trace import Trace, TraceRecord
 
 PathLike = Union[str, pathlib.Path]
@@ -57,7 +57,7 @@ def trace_from_jsonl(text: str) -> List[TraceRecord]:
     Numeric data fields come back as real ints/floats (JSON preserves the
     distinction), and ``time`` is coerced to ``float`` even when the writer
     serialized a whole number without a fractional part — consumers doing
-    arithmetic on times (:mod:`repro.obs.forensics`, :mod:`repro.obs.spans`)
+    arithmetic on times (:mod:`repro.obs.lifecycle` and its consumers)
     must behave identically on a loaded trace and a live one.
     """
     records: List[TraceRecord] = []
@@ -289,7 +289,9 @@ def trace_to_chrome(trace: Trace) -> Dict[str, object]:
     process with switch slices and per-group fence instants (see
     :func:`epoch_events`).
     """
-    spans = build_spans(trace)
+    life = Lifecycle()
+    for record in trace:
+        life.fold(record)
     events: List[Dict[str, object]] = [
         {
             "ph": "M",
@@ -335,41 +337,43 @@ def trace_to_chrome(trace: Trace) -> Dict[str, object]:
                 }
             )
 
-    for msg_id in sorted(spans):
-        span = spans[msg_id]
+    for msg_id in sorted(life.journeys):
+        journey = life.journeys[msg_id]
+        if journey.is_fence or journey.publish_time is None:
+            continue
         flow = {"cat": FLOW_CAT, "name": f"m{msg_id}", "id": msg_id}
-        name_host(span.sender)
+        name_host(journey.sender)
         events.append(
             {
                 "ph": "i",
                 "name": f"publish m{msg_id}",
-                "ts": _us(span.publish_time),
+                "ts": _us(journey.publish_time),
                 "pid": HOSTS_PID,
-                "tid": span.sender,
+                "tid": journey.sender,
                 "s": "t",
-                "args": {"msg": msg_id, "group": span.group},
+                "args": {"msg": msg_id, "group": journey.group},
             }
         )
         events.append(
             {
                 "ph": "s",
-                "ts": _us(span.publish_time),
+                "ts": _us(journey.publish_time),
                 "pid": HOSTS_PID,
-                "tid": span.sender,
+                "tid": journey.sender,
                 **flow,
             }
         )
-        for node, start, end in hop_intervals(span):
+        for node, start, end in journey.hop_intervals():
             name_node(node)
             events.append(
                 {
                     "ph": "X",
-                    "name": f"m{msg_id} g{span.group}",
+                    "name": f"m{msg_id} g{journey.group}",
                     "ts": _us(start),
                     "dur": max(_us(end - start), MIN_SLICE_US),
                     "pid": SEQUENCING_PID,
                     "tid": node,
-                    "args": {"msg": msg_id, "group": span.group},
+                    "args": {"msg": msg_id, "group": journey.group},
                 }
             )
             events.append(
@@ -381,24 +385,26 @@ def trace_to_chrome(trace: Trace) -> Dict[str, object]:
                     **flow,
                 }
             )
-        for host in sorted(span.deliveries):
+        for host, receipt in sorted(journey.receipts.items()):
+            if receipt.deliver_time is None:
+                continue
             name_host(host)
             events.append(
                 {
                     "ph": "i",
                     "name": f"deliver m{msg_id}",
-                    "ts": _us(span.deliveries[host]),
+                    "ts": _us(receipt.deliver_time),
                     "pid": HOSTS_PID,
                     "tid": host,
                     "s": "t",
-                    "args": {"msg": msg_id, "group": span.group},
+                    "args": {"msg": msg_id, "group": journey.group},
                 }
             )
             events.append(
                 {
                     "ph": "f",
                     "bp": "e",
-                    "ts": _us(span.deliveries[host]),
+                    "ts": _us(receipt.deliver_time),
                     "pid": HOSTS_PID,
                     "tid": host,
                     **flow,

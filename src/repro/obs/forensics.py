@@ -7,52 +7,25 @@ say *that* a receiver buffered; this module says *why* — which missing
 what delayed the missing predecessor (loss, a link outage, a crashed
 peer, failover replay, or nothing at all — it was genuinely in flight).
 
-Everything is rebuilt from trace records, so forensics works identically
-on a live :class:`~repro.runtime.trace.Trace` and on a JSONL export loaded
-from disk.  The flight-recorder kinds consumed here:
-
-===============  ==========================================================
-kind             data fields
-===============  ==========================================================
-``publish``      ``msg``, ``group``, ``sender``
-``seq_hop``      ``msg``, ``node``, ``atom`` (entry atom of a node visit)
-``atom_seq``     ``msg``, ``node``, ``atom``, ``seq`` (overlap number or
-                 null), ``group_seq`` (group-local number or null)
-``atom_pass``    ``msg``, ``node``, ``atom`` (pass-through, arrival order)
-``distribute``   ``msg``, ``node``, ``members``
-``deliver``      ``msg``, ``host``, ``group``, ``sender``, ``publish_time``
-``buffer``       ``msg``, ``host``, ``group``, ``blocked_kind``,
-                 ``blocked_on``, ``have_seq``, ``expected_seq``
-``drain``        ``msg``, ``host``, ``group``, ``unblocked_by``, ``waited``
-``retransmit``   ``src``, ``dst``, ``cause``
-``link_failure`` ``src``, ``dst``, ``attempts``
-``failover``     ``node``, ``old_machine``, ``new_machine``, ``replayed``
-``epoch_fence``  ``phase`` ("publish"/"deliver"), ``msg``, ``group``,
-                 ``epoch``, ``sender`` (publish) / ``host`` (deliver)
-``epoch_switch`` ``phase`` ("begin"/"end"), ``epoch``, ``groups`` (begin)
-                 / ``drain_events`` (end)
-===============  ==========================================================
-
-The ``atom_seq`` records double as a sequence-space registry: the message
-assigned ``(atom, seq)`` *is* the missing predecessor a buffered message
-waits for, so blocking pairs join exactly against the stamping history —
-no guessing.  See ``docs/OBSERVABILITY.md`` ("Forensics") and the
-``repro explain`` CLI subcommand.
+Everything is rebuilt from trace records by the one lifecycle fold
+(:class:`repro.obs.lifecycle.Lifecycle`, which documents the kinds it
+reads), so forensics works identically on a live
+:class:`~repro.runtime.trace.Trace` and on a JSONL export loaded from
+disk.  The ``atom_seq`` records double as a sequence-space registry: the
+message assigned ``(atom, seq)`` *is* the missing predecessor a buffered
+message waits for, so blocking pairs join exactly against the stamping
+history — no guessing.  See ``docs/OBSERVABILITY.md`` ("Forensics") and
+the ``repro explain`` CLI subcommand.
 """
 
-from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
+from repro.obs.lifecycle import PHASES, BufferEvent, Fault, Journey, Lifecycle
 from repro.runtime.trace import TraceRecord
 
 __all__ = [
-    "AtomEvent",
-    "BufferEvent",
-    "Journey",
     "JourneyIndex",
-    "ReceiverLeg",
     "attribute_stall",
-    "fault_of",
     "render_journey",
     "render_stalls",
     "waits_to_dot",
@@ -73,22 +46,6 @@ CAUSE_PRIORITY = (
 )
 CAUSE_IN_FLIGHT = "in_flight"
 CAUSE_LINK_FAILURE = "link_failure"
-
-#: One piece of fault evidence: ``(time, cause, src, dst)`` with process
-#: names as the trace writes them (a failover names its node twice).
-Fault = Tuple[float, str, str, str]
-
-
-def fault_of(record: TraceRecord) -> Fault:
-    """The evidence a ``retransmit``, ``link_failure`` or ``failover``
-    record carries."""
-    data = record.data
-    if record.kind == "failover":
-        name = repr(("seq", data["node"]))
-        return (record.time, "failover_replay", name, name)
-    cause = data["cause"] if record.kind == "retransmit" else CAUSE_LINK_FAILURE
-    return (record.time, cause, data["src"], data["dst"])
-
 
 def attribute_stall(
     host: int,
@@ -135,186 +92,8 @@ def attribute_stall(
     return CAUSE_IN_FLIGHT, evidence
 
 
-@dataclass(frozen=True)
-class AtomEvent:
-    """One atom's decision about one message (stamp or pass-through)."""
-
-    time: float
-    node: int
-    atom: str
-    #: ``"seq"`` (assigned at least one number) or ``"pass"``
-    action: str
-    #: overlap sequence number assigned, if any
-    seq: Optional[int] = None
-    #: group-local number assigned (ingress stamping), if any
-    group_seq: Optional[int] = None
-
-
-@dataclass
-class BufferEvent:
-    """One receiver-side buffering, from decision to (maybe) release."""
-
-    msg_id: int
-    host: int
-    group: int
-    #: arrival time at the receiver == buffering time
-    time: float
-    #: ``"group"`` or ``"atom"`` — which sequence space blocked
-    blocked_kind: str
-    #: stable key of the blocking space (``"Q(0,1)"`` or ``"group:3"``)
-    blocked_on: str
-    have_seq: int
-    expected_seq: int
-    drain_time: Optional[float] = None
-    #: the arrival whose processing released this message from the buffer
-    unblocked_by: Optional[int] = None
-    waited: Optional[float] = None
-    #: message that carried the missing ``(blocked_on, expected_seq)``
-    #: number — the exact predecessor this receiver was waiting for
-    missing_msg: Optional[int] = None
-    #: attribution verdict (see :data:`CAUSE_PRIORITY`)
-    cause: Optional[str] = None
-    #: matched fault records per cause, the evidence behind the verdict
-    evidence: Dict[str, int] = field(default_factory=dict)
-
-    @property
-    def resolved(self) -> bool:
-        """Whether the buffered message was eventually released."""
-        return self.drain_time is not None
-
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-able summary (deterministic field order)."""
-        return {
-            "msg": self.msg_id,
-            "host": self.host,
-            "group": self.group,
-            "time": self.time,
-            "blocked_kind": self.blocked_kind,
-            "blocked_on": self.blocked_on,
-            "have_seq": self.have_seq,
-            "expected_seq": self.expected_seq,
-            "drain_time": self.drain_time,
-            "unblocked_by": self.unblocked_by,
-            "waited": self.waited,
-            "missing_msg": self.missing_msg,
-            "cause": self.cause,
-            "evidence": {k: self.evidence[k] for k in sorted(self.evidence)},
-        }
-
-
-@dataclass
-class ReceiverLeg:
-    """One message copy as observed by one receiver."""
-
-    host: int
-    #: first arrival at the receiver (buffer time if buffered, else the
-    #: delivery instant — direct deliveries have zero hold-back wait)
-    arrival_time: float
-    deliver_time: Optional[float] = None
-    buffer: Optional[BufferEvent] = None
-
-    @property
-    def holdback_wait(self) -> Optional[float]:
-        """Time spent in the hold-back buffer (0 for direct deliveries)."""
-        if self.deliver_time is None:
-            return None
-        return self.deliver_time - self.arrival_time
-
-
-@dataclass
-class Journey:
-    """The reconstructed end-to-end life of one published message."""
-
-    msg_id: int
-    group: int
-    sender: int
-    publish_time: float
-    atom_events: List[AtomEvent] = field(default_factory=list)
-    distribute_time: Optional[float] = None
-    distribute_node: Optional[int] = None
-    #: per-receiver legs, keyed by host id
-    legs: Dict[int, ReceiverLeg] = field(default_factory=dict)
-    #: True for epoch-fence markers (consumed by the fabric, not the app)
-    is_fence: bool = False
-
-    def nodes_visited(self) -> List[int]:
-        """Sequencing nodes on the message's path, in visit order."""
-        nodes: List[int] = []
-        for event in self.atom_events:
-            if not nodes or nodes[-1] != event.node:
-                nodes.append(event.node)
-        return nodes
-
-    def breakdown(self, host: int) -> Optional[Dict[str, float]]:
-        """Split one copy's end-to-end latency into its three causes.
-
-        * ``sequencing`` — first atom visit until distribution fan-out
-          (the sequencing-path detour the protocol adds),
-        * ``holdback`` — receiver-side ordering wait in the hold-back
-          buffer (zero for messages deliverable on arrival),
-        * ``propagation`` — everything else: publisher-to-ingress plus
-          fan-out-to-receiver wire time.
-
-        The three sum exactly to ``total``.  Returns ``None`` while the
-        journey is incomplete for ``host`` (undelivered, or the trace
-        lacks sequencing records).
-        """
-        leg = self.legs.get(host)
-        if (
-            leg is None
-            or leg.deliver_time is None
-            or self.distribute_time is None
-            or not self.atom_events
-        ):
-            return None
-        first_atom = self.atom_events[0].time
-        sequencing = self.distribute_time - first_atom
-        holdback = leg.deliver_time - leg.arrival_time
-        total = leg.deliver_time - self.publish_time
-        return {
-            "propagation": total - sequencing - holdback,
-            "sequencing": sequencing,
-            "holdback": holdback,
-            "total": total,
-        }
-
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-able journey summary (deterministic ordering)."""
-        return {
-            "msg": self.msg_id,
-            "group": self.group,
-            "sender": self.sender,
-            "publish_time": self.publish_time,
-            "atom_events": [
-                {
-                    "time": e.time,
-                    "node": e.node,
-                    "atom": e.atom,
-                    "action": e.action,
-                    "seq": e.seq,
-                    "group_seq": e.group_seq,
-                }
-                for e in self.atom_events
-            ],
-            "distribute_time": self.distribute_time,
-            "distribute_node": self.distribute_node,
-            "receivers": [
-                {
-                    "host": host,
-                    "arrival_time": leg.arrival_time,
-                    "deliver_time": leg.deliver_time,
-                    "buffered": (
-                        leg.buffer.to_dict() if leg.buffer is not None else None
-                    ),
-                    "breakdown": self.breakdown(host),
-                }
-                for host, leg in sorted(self.legs.items())
-            ],
-        }
-
-
-class JourneyIndex:
-    """Rebuild per-message journeys and hold-back forensics from records.
+class JourneyIndex(Lifecycle):
+    """The lifecycle fold with retention: every journey and buffer event.
 
     Accepts any iterable of :class:`~repro.runtime.trace.TraceRecord` —
     a live :class:`~repro.runtime.trace.Trace` or the list returned by
@@ -323,33 +102,27 @@ class JourneyIndex:
     both sources guarantee.
 
     Attribution runs eagerly: every :class:`BufferEvent` leaves the
-    constructor with its ``missing_msg``, ``cause``, and ``evidence``
-    resolved by :func:`attribute_stall` against the retransmission /
-    link-failure / failover records in the same stream.
+    constructor with its ``cause`` and ``evidence`` resolved by
+    :func:`attribute_stall` against the retransmission / link-failure /
+    failover records in the same stream.
     """
 
     def __init__(self, records: Iterable[TraceRecord]):
-        self.journeys: Dict[int, Journey] = {}
+        super().__init__()
         self.buffer_events: List[BufferEvent] = []
-        #: retransmissions, link failures and failovers, in stream order
-        self.faults: List[Fault] = []
-        #: (begin, end) per online epoch switch (fence drain window);
-        #: a switch still open when the trace ends has no end
-        self.epoch_switches: List[Tuple[float, Optional[float]]] = []
-        self._switch_open: Dict[int, float] = {}
         self.end_time = 0.0
-        #: (space key, seq) -> msg_id that was assigned that number
-        self._seq_owner: Dict[Tuple[str, int], int] = {}
-        #: (host, msg) -> its (unique) buffer event
-        self._buffer_by_key: Dict[Tuple[int, int], BufferEvent] = {}
-        #: per-host occupancy deltas: (time, stream index, +1/-1)
-        self._occupancy: Dict[int, List[Tuple[float, int, int]]] = {}
-        for index, record in enumerate(records):
-            self._ingest(index, record)
-        # A switch still open when the trace ends (the run stopped mid-
-        # drain) fences everything until the end of the recording.
-        for epoch in sorted(self._switch_open):
-            self.epoch_switches.append((self._switch_open[epoch], None))
+        #: per-host occupancy deltas (time, +1/-1), in stream order
+        self._occupancy: Dict[int, List[Tuple[float, int]]] = {}
+        for record in records:
+            self.end_time = max(self.end_time, record.time)
+            self.fold(record)
+        # Numbers whose publication the stream never showed make no journey.
+        for msg in [m for m, j in self.journeys.items() if j.publish_time is None]:
+            del self.journeys[msg]
+        #: (begin, end) per online epoch switch (fence drain window); a
+        #: switch still open when the trace ends fences everything until
+        #: the end of the recording
+        self.epoch_switches = self.switch_windows()
         for event in self.buffer_events:
             self._attribute(event)
 
@@ -360,135 +133,23 @@ class JourneyIndex:
 
         return cls(trace_from_jsonl(text))
 
-    # -- ingestion ---------------------------------------------------------
-
-    def _ingest(self, index: int, record: TraceRecord) -> None:
-        self.end_time = max(self.end_time, record.time)
-        data = record.data
-        kind = record.kind
-        if kind == "publish":
-            self.journeys[data["msg"]] = Journey(
-                msg_id=data["msg"],
-                group=data["group"],
-                sender=data["sender"],
-                publish_time=record.time,
-            )
-        elif kind in ("atom_seq", "atom_pass"):
-            self._ingest_atom(record)
-        elif kind == "distribute":
-            journey = self.journeys.get(data["msg"])
-            if journey is not None:
-                journey.distribute_time = record.time
-                journey.distribute_node = data["node"]
-        elif kind == "deliver":
-            self._ingest_deliver(record)
-        elif kind == "buffer":
-            self._ingest_buffer(index, record)
-        elif kind == "drain":
-            self._ingest_drain(index, record)
-        elif kind in ("retransmit", "link_failure", "failover"):
-            self.faults.append(fault_of(record))
-        elif kind == "epoch_fence":
-            # Fences travel the normal sequencing path: register a journey
-            # on publish (so their atom_seq records feed the sequence-space
-            # registry — a gap blocked on a fence's number is explainable)
-            # and close the receiver leg on consumption.
-            if data["phase"] == "publish":
-                self.journeys[data["msg"]] = Journey(
-                    msg_id=data["msg"],
-                    group=data["group"],
-                    sender=data["sender"],
-                    publish_time=record.time,
-                    is_fence=True,
-                )
-            else:
-                self._ingest_deliver(record)
-        elif kind == "epoch_switch":
-            if data["phase"] == "begin":
-                self._switch_open[data["epoch"]] = record.time
-            else:
-                begin = self._switch_open.pop(data["epoch"], record.time)
-                self.epoch_switches.append((begin, record.time))
-
-    def _ingest_atom(self, record: TraceRecord) -> None:
-        data = record.data
-        journey = self.journeys.get(data["msg"])
-        seq = data.get("seq")
-        group_seq = data.get("group_seq")
-        event = AtomEvent(
-            time=record.time,
-            node=data["node"],
-            atom=data["atom"],
-            action="seq" if record.kind == "atom_seq" else "pass",
-            seq=seq,
-            group_seq=group_seq,
-        )
-        if journey is not None:
-            journey.atom_events.append(event)
-            if seq is not None:
-                self._seq_owner[(data["atom"], seq)] = data["msg"]
-            if group_seq is not None:
-                self._seq_owner[(f"group:{journey.group}", group_seq)] = data["msg"]
-
-    def _ingest_deliver(self, record: TraceRecord) -> None:
-        data = record.data
-        journey = self.journeys.get(data["msg"])
-        if journey is None:
-            return
-        leg = journey.legs.get(data["host"])
-        if leg is None:
-            leg = ReceiverLeg(host=data["host"], arrival_time=record.time)
-            journey.legs[data["host"]] = leg
-        leg.deliver_time = record.time
-
-    def _ingest_buffer(self, index: int, record: TraceRecord) -> None:
-        data = record.data
-        event = BufferEvent(
-            msg_id=data["msg"],
-            host=data["host"],
-            group=data["group"],
-            time=record.time,
-            blocked_kind=data["blocked_kind"],
-            blocked_on=data["blocked_on"],
-            have_seq=data["have_seq"],
-            expected_seq=data["expected_seq"],
-        )
+    def _on_buffer(self, record: TraceRecord) -> BufferEvent:
+        event = super()._on_buffer(record)
         self.buffer_events.append(event)
-        self._buffer_by_key[(event.host, event.msg_id)] = event
-        self._occupancy.setdefault(event.host, []).append((record.time, index, 1))
-        journey = self.journeys.get(event.msg_id)
-        if journey is not None:
-            journey.legs[event.host] = ReceiverLeg(
-                host=event.host, arrival_time=record.time, buffer=event
-            )
+        self._occupancy.setdefault(event.host, []).append((record.time, 1))
+        return event
 
-    def _ingest_drain(self, index: int, record: TraceRecord) -> None:
-        data = record.data
-        event = self._buffer_by_key.get((data["host"], data["msg"]))
-        if event is None:
-            return
-        event.drain_time = record.time
-        event.unblocked_by = data.get("unblocked_by")
-        event.waited = data.get("waited")
-        if event.waited is None:
-            event.waited = record.time - event.time
-        self._occupancy.setdefault(data["host"], []).append((record.time, index, -1))
-
-    # -- attribution -------------------------------------------------------
+    def _on_drain(self, record: TraceRecord) -> Optional[BufferEvent]:
+        event = super()._on_drain(record)
+        if event is not None:
+            self._occupancy.setdefault(event.host, []).append((record.time, -1))
+        return event
 
     def _attribute(self, event: BufferEvent) -> None:
-        owner = self._seq_owner.get((event.blocked_on, event.expected_seq))
-        event.missing_msg = owner
-        journey = self.journeys.get(owner) if owner is not None else None
-        missing = None
-        if journey is not None:
-            nodes = journey.nodes_visited()
-            if journey.distribute_node is not None:
-                nodes.append(journey.distribute_node)
-            missing = (journey.publish_time, journey.sender, nodes)
         until = self.end_time if event.drain_time is None else event.drain_time
         event.cause, event.evidence = attribute_stall(
-            event.host, event.time, until, event.resolved, missing,
+            event.host, event.time, until, event.resolved,
+            event.missing.path() if event.missing is not None else None,
             self.faults, self.epoch_switches,
         )
 
@@ -519,10 +180,10 @@ class JourneyIndex:
         Rebuilt from buffer/drain records, so it matches the live
         ``on_occupancy`` gauge stream for the same run.
         """
-        deltas = sorted(self._occupancy.get(host, []), key=lambda d: (d[0], d[1]))
+        deltas = sorted(self._occupancy.get(host, []), key=lambda d: d[0])
         history: List[Tuple[float, int]] = []
         depth = 0
-        for time, _index, delta in deltas:
+        for time, delta in deltas:
             depth += delta
             history.append((time, depth))
         return history
@@ -606,18 +267,18 @@ def render_journey(journey: Journey) -> str:
     if journey.distribute_time is not None:
         lines.append(
             f"  t={journey.distribute_time:.3f}  distribute from node "
-            f"{journey.distribute_node} to {len(journey.legs)} receiver(s)"
+            f"{journey.distribute_node} to {len(journey.receipts)} receiver(s)"
         )
-    for host, leg in sorted(journey.legs.items()):
-        if leg.buffer is None:
+    for host, receipt in sorted(journey.receipts.items()):
+        if receipt.buffer is None:
             delivered = (
-                f"delivered t={leg.deliver_time:.3f}"
-                if leg.deliver_time is not None
+                f"delivered t={receipt.deliver_time:.3f}"
+                if receipt.deliver_time is not None
                 else "never delivered"
             )
             lines.append(f"  host {host}: arrived and {delivered} (no hold-back)")
             continue
-        event = leg.buffer
+        event = receipt.buffer
         head = (
             f"  host {host}: arrived t={event.time:.3f}, buffered on "
             f"{event.blocked_on} expecting seq {event.expected_seq} "
@@ -637,15 +298,13 @@ def render_journey(journey: Journey) -> str:
             lines.append(
                 f"           missing predecessor: message {event.missing_msg}"
             )
-    for host in sorted(journey.legs):
+    for host in sorted(journey.receipts):
         breakdown = journey.breakdown(host)
         if breakdown is None:
             continue
+        parts = " + ".join(f"{phase} {breakdown[phase]:.3f}" for phase in PHASES)
         lines.append(
-            f"  host {host} latency: total {breakdown['total']:.3f} = "
-            f"propagation {breakdown['propagation']:.3f} + "
-            f"sequencing {breakdown['sequencing']:.3f} + "
-            f"holdback {breakdown['holdback']:.3f}"
+            f"  host {host} latency: total {breakdown['total']:.3f} = {parts}"
         )
     return "\n".join(lines)
 

@@ -1,21 +1,16 @@
-"""Streaming per-phase latency percentiles from trace records.
+"""Streaming per-phase latency percentiles from the lifecycle fold.
 
 The paper's evaluation (and the mean-only summaries PR 1 shipped) hide
 tail behaviour; FlexCast-style evaluation reports percentile
-distributions instead.  :class:`PhaseLatencyTracker` feeds three
-fixed-bucket log-scale histograms (:func:`repro.obs.registry.log_buckets`,
-0.01 ms .. 10 s, 4 buckets per decade) straight from the trace stream:
-
-* ``delivery`` — ingress→delivery: ``deliver.time - publish_time``, one
-  observation per application delivery.
-* ``sequencing`` — publish→distribution: time a message spent in the
-  sequencing layer before fan-out, one observation per distributed
-  message (the per-message publish time is evicted at the ``distribute``
-  record, so the working set is only the in-flight window).
-* ``holdback`` — hold-back wait: the ``waited`` field of each ``drain``
-  record.  Deliveries that never buffered wait 0 ms and are *not*
-  observed here — the histogram answers "when we buffered, for how
-  long", which is the stall-facing question.
+distributions instead.  :class:`PhaseLatencyTracker` keeps one
+fixed-bucket log-scale histogram (:func:`repro.obs.registry.log_buckets`,
+0.01 ms .. 10 s, 4 buckets per decade) per phase of
+:data:`repro.obs.lifecycle.PHASES` plus their sum ``total`` (the order
+of :data:`repro.obs.lifecycle.SERIES`).  Every delivered copy is
+observed once in each, with its phases read from the message's journey:
+a copy delivered on arrival observes ``holdback`` 0.  A copy whose
+journey lacks the sequencing records (a monitor attached mid-run, a
+baseline fabric) observes only ``total``.
 
 All values are **virtual milliseconds**, so the same percentiles come out
 of a simulated run and a live asyncio run (scaled by the backend's
@@ -23,17 +18,15 @@ clock).  Fixed buckets make per-node histograms mergeable exactly
 (:meth:`repro.obs.registry.Histogram.merge_counts`).
 """
 
-from typing import Dict, Mapping, Optional
+from typing import Dict, Optional
 
+from repro.obs.lifecycle import SERIES, Journey
 from repro.obs.registry import Histogram, MetricsRegistry
 from repro.runtime.trace import TraceRecord
 
-__all__ = ["PHASES", "PhaseLatencyTracker", "phase_summary"]
+__all__ = ["PhaseLatencyTracker", "phase_summary"]
 
-#: The tracked pipeline phases, in report order.
-PHASES = ("delivery", "sequencing", "holdback")
-
-#: Metric name shared by all three phase histograms (label ``phase``).
+#: Metric name shared by all phase histograms (label ``phase``).
 PHASE_METRIC = "repro_phase_latency_ms"
 
 #: Quantiles surfaced in summaries: median plus the SLO tails.
@@ -41,47 +34,38 @@ SUMMARY_QUANTILES = (("p50", 0.50), ("p99", 0.99), ("p999", 0.999))
 
 
 class PhaseLatencyTracker:
-    """Feed per-phase latency histograms from a trace-record stream."""
+    """Per-phase latency histograms, one observation per delivered copy."""
 
     def __init__(self, registry: Optional[MetricsRegistry] = None):
         self.registry = registry if registry is not None else MetricsRegistry()
         self.histograms: Dict[str, Histogram] = {
-            phase: self.registry.histogram(
+            name: self.registry.histogram(
                 PHASE_METRIC,
                 "Per-phase pipeline latency in virtual milliseconds",
-                phase=phase,
+                phase=name,
             )
-            for phase in PHASES
+            for name in SERIES
         }
-        #: msg -> publish time, evicted at the distribute record
-        self._publish_time: Dict[int, float] = {}
 
-    def observe(self, record: TraceRecord) -> None:
-        """Consume one trace record (publish/distribute/deliver/drain)."""
-        kind = record.kind
-        if kind == "deliver":
-            self.histograms["delivery"].observe(
+    def observe(self, record: TraceRecord, journey: Optional[Journey]) -> None:
+        """One ``deliver`` record, with its message's journey folded
+        through that record (``None`` if the stream never showed it)."""
+        latencies = (
+            journey.latencies(record.data["host"]) if journey is not None else None
+        )
+        if latencies is None:
+            self.histograms["total"].observe(
                 record.time - float(record.data["publish_time"])
             )
-        elif kind == "drain":
-            waited = record.data.get("waited")
-            if waited is not None:
-                self.histograms["holdback"].observe(float(waited))
-        elif kind == "publish":
-            self._publish_time[int(record.data["msg"])] = record.time
-        elif kind == "distribute":
-            published_at = self._publish_time.pop(
-                int(record.data["msg"]), None
-            )
-            if published_at is not None:
-                self.histograms["sequencing"].observe(
-                    record.time - published_at
-                )
+            return
+        for histogram, value in zip(self.histograms.values(), latencies):
+            histogram.observe(value)
 
     def summary(self) -> Dict[str, Dict[str, float]]:
-        """Per-phase ``{count, p50, p99, p999, max}`` (virtual ms)."""
+        """Per-series ``{count, p50, p99, p999, max}`` (virtual ms)."""
         return {
-            phase: phase_summary(self.histograms[phase]) for phase in PHASES
+            name: phase_summary(histogram)
+            for name, histogram in self.histograms.items()
         }
 
 
@@ -93,11 +77,3 @@ def phase_summary(histogram: Histogram) -> Dict[str, float]:
     out["max"] = histogram.max
     return out
 
-
-def merge_phase_histograms(
-    target: Mapping[str, Histogram], source: Mapping[str, Histogram]
-) -> None:
-    """Fold ``source``'s per-phase histograms into ``target``'s."""
-    for phase, histogram in source.items():
-        if phase in target:
-            target[phase].merge_counts(histogram)

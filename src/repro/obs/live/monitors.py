@@ -12,8 +12,8 @@ function ``repro explain`` uses.  docs/STATIC_ANALYSIS.md has the table.
 
 Without ``retain_audit`` memory follows the *in-flight window*, not the
 run length: the checker is bounded, and the monitor drops a message's
-group number, stamp, sequence-space ownership and path once every member
-delivered it.  Fault evidence is kept back to the oldest open stall
+journey (:mod:`repro.obs.lifecycle`) and the sequence numbers it owns
+once every member delivered it.  Fault evidence is kept back to the oldest open stall
 window or unconfirmed publication, whichever is earlier.  A duplicate
 arriving after its message left that window is only caught post hoc —
 the price of bounded state.  With ``retain_audit=True`` (the default, for
@@ -28,11 +28,12 @@ fixed seed gives a byte-identical alert feed.
 import heapq
 from collections import deque
 from dataclasses import asdict, dataclass, field
-from typing import Any, Callable, Deque, Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Any, Deque, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.check.findings import Finding
 from repro.check.invariants import RULES, OrderingChecker, stamping_spaces
-from repro.obs.forensics import Fault, attribute_stall, fault_of
+from repro.obs.forensics import attribute_stall
+from repro.obs.lifecycle import BufferEvent, Journey, Lifecycle
 from repro.obs.live.latency import PhaseLatencyTracker
 from repro.obs.registry import MetricsRegistry
 from repro.runtime.trace import TraceRecord
@@ -73,35 +74,12 @@ class MonitorAlert:
         return asdict(self)
 
 
-class _Flight:
-    """What the monitor knows of one message until it is confirmed."""
-
-    __slots__ = ("publish_time", "sender", "group", "group_seq", "stamp",
-                 "nodes", "distributed", "done")
-
-    def __init__(self, publish_time: Optional[float], sender: int, group: int):
-        #: ``None`` when the stream never showed the publication
-        self.publish_time = publish_time
-        self.sender = sender
-        self.group = group
-        self.group_seq: Optional[int] = None
-        #: overlap-atom numbers in path order: (atom key, seq)
-        self.stamp: List[Tuple[str, int]] = []
-        #: sequencing nodes visited, consecutive repeats collapsed
-        self.nodes: List[int] = []
-        self.distributed: Optional[int] = None
-        self.done = False
-
-    def missing(self) -> Optional[Tuple[float, int, List[int]]]:
-        """The predecessor facts :func:`attribute_stall` takes."""
-        if self.publish_time is None:
-            return None
-        path = self.nodes if self.distributed is None else self.nodes + [self.distributed]
-        return (self.publish_time, self.sender, path)
-
-
-class LiveMonitor:
+class LiveMonitor(Lifecycle):
     """Streaming ordering checks and stall attribution over a live trace.
+
+    The monitor is the lifecycle fold run live: its journeys feed the
+    checker and the phase histograms, and without ``retain_audit`` a
+    journey is dropped once every member delivered it.
 
     ``stall_threshold_ms`` is how long (virtual ms) a message may sit in
     a hold-back buffer before LM303 warns.  ``registry`` receives the
@@ -134,23 +112,10 @@ class LiveMonitor:
         self.epoch: Optional[int] = None
         self._trace: Optional[Any] = None
         self._stamping: Optional[Dict[int, Tuple[str, ...]]] = None
-        self._handlers: Dict[str, Callable[[TraceRecord], None]] = {
-            "deliver": self._on_deliver,
-            "buffer": self._on_buffer,
-            "drain": self._on_drain,
-            "publish": self._on_publish,
-            "atom_seq": self._on_atom,
-            "atom_pass": self._on_atom,
-            "distribute": self._on_distribute,
-            "retransmit": self._on_fault,
-            "link_failure": self._on_fault,
-            "failover": self._on_fault,
-            "epoch_fence": self._on_epoch_fence,
-            "epoch_switch": self._on_epoch_switch,
-        }
+        super().__init__()
         self._reset()
 
-    # -- lifecycle ---------------------------------------------------------
+    # -- attachment --------------------------------------------------------
 
     def attach(self, fabric: Any) -> None:
         """Adopt a fabric's membership and subscribe to its trace.
@@ -182,32 +147,22 @@ class LiveMonitor:
         self._checker.membership = self.membership
 
     def _reset(self) -> None:
+        self.clear()
         self._checker = OrderingChecker(
             self.membership,
             stamping=self._stamping,
             bounded=not self.retain_audit,
             on_violation=self._on_violation,
         )
-        #: msg -> in-flight state (bounded: dropped on confirmation)
-        self._flights: Dict[int, _Flight] = {}
         #: (publish time, msg) in publication order, for the evidence horizon
         self._unconfirmed: Deque[Tuple[float, int]] = deque()
-        #: (space key, seq) -> the message that was assigned that number
-        self._owners: Dict[Tuple[str, int], int] = {}
-        #: (host, msg) -> (buffering time, the missing predecessor's state)
-        self._buffered: Dict[Tuple[int, int], Tuple[float, Optional[_Flight]]] = {}
         #: min-heap of (deadline, host, msg) stall candidates
         self._stall_heap: List[Tuple[float, int, int]] = []
         self._stall_alerted: Set[Tuple[int, int]] = set()
         #: host -> current hold-back depth (buffer minus drain)
         self._holdback_depth: Dict[int, int] = {}
-        #: fault evidence back to the evidence horizon; the ring length
-        #: that triggers the next trim (amortizes its scan)
-        self._faults: Deque[Fault] = deque()
+        #: fault-ring length that triggers the next trim (amortizes its scan)
         self._trim_at = 64
-        #: closed epoch-switch windows (begin, end); epoch -> open begin
-        self._switches: List[Tuple[float, float]] = []
-        self._switch_open: Dict[int, float] = {}
         #: group -> (expected members, delivered members) of the live fence
         self._fence_expected: Dict[int, FrozenSet[int]] = {}
         self._fence_delivered: Dict[int, Set[int]] = {}
@@ -217,119 +172,69 @@ class LiveMonitor:
     def observe(self, record: TraceRecord) -> None:
         """Consume one trace record (the trace-subscriber entry point)."""
         now = self.now = record.time
-        handler = self._handlers.get(record.kind)
-        if handler is not None:
-            handler(record)
+        self.fold(record)
         heap = self._stall_heap
         if heap and heap[0][0] <= now:
             self._expire_stalls(now)
 
-    def _track(self, msg: int, time: float, sender: int, group: int) -> None:
-        self._flights[msg] = _Flight(time, sender, group)
-        self._unconfirmed.append((time, msg))
-
-    def _on_publish(self, record: TraceRecord) -> None:
-        data = record.data
+    def _on_publish(self, record: TraceRecord) -> Journey:
+        journey = super()._on_publish(record)
         self.published_total += 1
-        self.latency.observe(record)
-        self._track(data["msg"], record.time, data["sender"], data["group"])
-        self._checker.publish(data["msg"], data["group"], data["sender"], record.time)
+        self._unconfirmed.append((record.time, journey.msg_id))
+        self._checker.publish(journey.msg_id, journey.group, journey.sender, record.time)
+        return journey
 
-    def _on_atom(self, record: TraceRecord) -> None:
+    def _on_deliver(self, record: TraceRecord) -> Optional[Journey]:
+        journey = super()._on_deliver(record)
         data = record.data
-        msg = data["msg"]
-        flight = self._flights.get(msg)
-        if flight is None:
-            # Stamped before the stream showed its publication: keep the
-            # group number for LM302, but it owns no sequence space.
-            flight = self._flights[msg] = _Flight(None, -1, -1)
-        if not flight.nodes or flight.nodes[-1] != data["node"]:
-            flight.nodes.append(data["node"])
-        if record.kind == "atom_pass":
-            return
-        seq = data.get("seq")
-        group_seq = data.get("group_seq")
-        owned = flight.publish_time is not None
-        if seq is not None:
-            flight.stamp.append((data["atom"], seq))
-            if owned:
-                self._owners[(data["atom"], seq)] = msg
-        if group_seq is not None:
-            flight.group_seq = group_seq
-            if owned:
-                self._owners[(f"group:{flight.group}", group_seq)] = msg
-
-    def _on_distribute(self, record: TraceRecord) -> None:
-        self.latency.observe(record)
-        flight = self._flights.get(record.data["msg"])
-        if flight is not None:
-            flight.distributed = record.data["node"]
-
-    def _on_deliver(self, record: TraceRecord) -> None:
-        data = record.data
-        msg = data["msg"]
         self.delivered_total += 1
-        self.latency.observe(record)
-        flight = self._flights.get(msg)
-        group_seq = flight.group_seq if flight is not None else None
-        stamp = flight.stamp if flight is not None and self.retain_audit else None
-        if self._checker.deliver(data["host"], msg, data["group"],
+        self.latency.observe(record, journey)
+        group_seq = journey.group_seq if journey is not None else None
+        stamp = journey.stamp if journey is not None and self.retain_audit else None
+        if self._checker.deliver(data["host"], data["msg"], data["group"],
                                  data["sender"], record.time, group_seq, stamp):
-            self._confirmed(msg)
+            self._confirmed(journey)
+        return journey
 
-    def _confirmed(self, msg: int) -> None:
-        """Every member delivered ``msg``: its in-flight state is dead."""
+    def _confirmed(self, journey: Optional[Journey]) -> None:
+        """Every member delivered the message: its journey is settled."""
+        if journey is None:
+            return
         if self.retain_audit:
-            flight = self._flights.get(msg)
-            if flight is not None:
-                flight.done = True
-            return
-        flight = self._flights.pop(msg, None)
-        if flight is None:
-            return
-        keys = list(flight.stamp)
-        if flight.group_seq is not None:
-            keys.append((f"group:{flight.group}", flight.group_seq))
-        for key in keys:
-            if self._owners.get(key) == msg:
-                del self._owners[key]
+            journey.done = True
+        else:
+            self.drop(journey)
 
-    def _on_buffer(self, record: TraceRecord) -> None:
-        data = record.data
-        host = data["host"]
+    def _on_buffer(self, record: TraceRecord) -> BufferEvent:
+        event = super()._on_buffer(record)
+        host = event.host
         self._holdback_depth[host] = self._holdback_depth.get(host, 0) + 1
-        # The number this message waits for was assigned before the one it
-        # carries, so its owner is known now; keep the owner's state, which
-        # confirmation may drop while this stall is still open.
-        owner = self._owners.get((data.get("blocked_on"), data.get("expected_seq")))
-        self._buffered[(host, data["msg"])] = (
-            record.time, self._flights.get(owner) if owner is not None else None
-        )
         heapq.heappush(
             self._stall_heap,
-            (record.time + self.stall_threshold_ms, host, data["msg"]),
+            (record.time + self.stall_threshold_ms, host, event.msg_id),
         )
+        return event
 
-    def _on_drain(self, record: TraceRecord) -> None:
+    def _on_drain(self, record: TraceRecord) -> Optional[BufferEvent]:
+        event = super()._on_drain(record)
         key = (record.data["host"], record.data["msg"])
         depth = self._holdback_depth.get(key[0], 0) - 1
         if depth > 0:
             self._holdback_depth[key[0]] = depth
         else:
             self._holdback_depth.pop(key[0], None)
-        self._buffered.pop(key, None)
         self._stall_alerted.discard(key)
-        self.latency.observe(record)
+        return event
 
     def _on_fault(self, record: TraceRecord) -> None:
-        faults = self._faults
-        faults.append(fault_of(record))
+        super()._on_fault(record)
+        faults = self.faults
         if len(faults) < self._trim_at:
             return
         horizon = self._evidence_horizon(record.time)
         while faults[0][0] < horizon:
             faults.popleft()
-        self._switches = [w for w in self._switches if w[1] >= horizon]
+        self.switches = [w for w in self.switches if w[1] >= horizon]
         self._trim_at = max(64, 2 * len(faults))
 
     def _evidence_horizon(self, now: float) -> float:
@@ -339,16 +244,17 @@ class LiveMonitor:
         waits on a message published after the oldest unconfirmed one."""
         unconfirmed = self._unconfirmed
         while unconfirmed:
-            flight = self._flights.get(unconfirmed[0][1])
-            if flight is not None and not flight.done:
+            journey = self.journeys.get(unconfirmed[0][1])
+            if journey is not None and not journey.done:
                 break
             unconfirmed.popleft()
         horizon = unconfirmed[0][0] if unconfirmed else now
-        for key, (buffered_at, flight) in self._buffered.items():
+        for key, event in self.open_buffers.items():
             if key not in self._stall_alerted:
-                horizon = min(horizon, buffered_at)
-                if flight is not None and flight.publish_time is not None:
-                    horizon = min(horizon, flight.publish_time)
+                horizon = min(horizon, event.time)
+                missing = event.missing
+                if missing is not None and missing.publish_time is not None:
+                    horizon = min(horizon, missing.publish_time)
         return min(horizon, now)
 
     def _expire_stalls(self, now: float) -> None:
@@ -356,55 +262,49 @@ class LiveMonitor:
         while heap and heap[0][0] <= now:
             _deadline, host, msg = heapq.heappop(heap)
             key = (host, msg)
-            buffered = self._buffered.get(key)
-            if buffered is None or key in self._stall_alerted:
+            event = self.open_buffers.get(key)
+            if event is None or key in self._stall_alerted:
                 continue
             self._stall_alerted.add(key)
-            buffered_at, flight = buffered
-            switches: List[Tuple[float, Optional[float]]] = [*self._switches]
-            switches += [(begin, None) for begin in self._switch_open.values()]
             cause, evidence = attribute_stall(
-                host, buffered_at, now, False,
-                flight.missing() if flight is not None else None,
-                self._faults, switches,
+                host, event.time, now, False,
+                event.missing.path() if event.missing is not None else None,
+                self.faults, self.switch_windows(),
             )
             self._alert(
                 now, "LM303",
                 f"host {host} has buffered message {msg} for "
-                f"{now - buffered_at:.1f} ms (threshold "
+                f"{now - event.time:.1f} ms (threshold "
                 f"{self.stall_threshold_ms:.1f} ms), cause: {cause}",
                 f"host {host}", "warning", cause, evidence,
             )
 
-    def _on_epoch_fence(self, record: TraceRecord) -> None:
+    def _on_epoch_fence(self, record: TraceRecord) -> Optional[Journey]:
+        journey = super()._on_epoch_fence(record)
         data = record.data
         group = data["group"]
         self.epoch = data["epoch"]
         if data.get("phase") == "publish":
             self._fence_expected[group] = self.membership.get(group, frozenset())
             self._fence_delivered.setdefault(group, set())
-            self._track(data["msg"], record.time, data["sender"], group)
+            self._unconfirmed.append((record.time, data["msg"]))
         elif data.get("phase") == "deliver":
             delivered = self._fence_delivered.setdefault(group, set())
             delivered.add(data["host"])
-            flight = self._flights.get(data["msg"])
             self._checker.consume_fence(
                 data["host"], group, data["msg"],
-                flight.group_seq if flight is not None else None, record.time,
+                journey.group_seq if journey is not None else None, record.time,
             )
             expected = self._fence_expected.get(group)
             if expected is not None and delivered >= expected:
                 self._fence_expected.pop(group, None)
                 self._fence_delivered.pop(group, None)
-                self._confirmed(data["msg"])
+                self._confirmed(journey)
+        return journey
 
     def _on_epoch_switch(self, record: TraceRecord) -> None:
-        epoch = self.epoch = record.data["epoch"]
-        if record.data.get("phase") == "begin":
-            self._switch_open[epoch] = record.time
-        else:
-            begin = self._switch_open.pop(epoch, record.time)
-            self._switches.append((begin, record.time))
+        super()._on_epoch_switch(record)
+        self.epoch = record.data["epoch"]
 
     # -- verdicts ----------------------------------------------------------
 

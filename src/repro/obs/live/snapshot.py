@@ -14,7 +14,7 @@ snapshots with :meth:`TelemetrySnapshot.merge` and computes percentiles
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, TYPE_CHECKING
 
-from repro.obs.live.latency import PHASES, phase_summary
+from repro.obs.live.latency import phase_summary
 from repro.obs.registry import Histogram
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -89,8 +89,8 @@ class TelemetrySnapshot:
             },
             epoch=monitor.epoch,
             phases={
-                phase: _histogram_to_dict(monitor.latency.histograms[phase])
-                for phase in PHASES
+                phase: _histogram_to_dict(histogram)
+                for phase, histogram in monitor.latency.histograms.items()
             },
         )
 

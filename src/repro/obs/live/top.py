@@ -27,7 +27,7 @@ import sys
 import time
 from typing import Any, Dict, Iterable, Iterator, List, Optional, TextIO
 
-from repro.obs.live.latency import PHASES
+from repro.obs.lifecycle import SERIES
 from repro.obs.live.monitors import LiveMonitor
 from repro.obs.live.snapshot import TelemetrySnapshot
 from repro.runtime.trace import TraceRecord
@@ -83,7 +83,7 @@ def render_frame(
         "   (virtual ms)"
     )
     summaries = snapshot.phase_summaries()
-    for phase in PHASES:
+    for phase in SERIES:
         summary = summaries.get(phase)
         if summary is None:
             continue

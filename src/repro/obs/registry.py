@@ -166,8 +166,10 @@ class Histogram:
                 fraction = 1.0 - (running - target) / bucket
                 estimate = lower + (bound - lower) * fraction
                 # The true maximum is a tighter upper bound than the
-                # bucket edge when every observation sits below it.
-                return min(estimate, self.max) if self.max else estimate
+                # bucket edge when every observation sits below it (an
+                # all-zero histogram, e.g. direct deliveries' hold-back,
+                # reports 0).
+                return min(estimate, self.max)
             lower = bound
         return self.max
 

@@ -35,7 +35,9 @@ percentiles.  ``repro top`` renders these snapshots as a refreshing
 operator view; see ``docs/OBSERVABILITY.md``.
 
 Errors come back as ``{"ok": false, "error": "..."}`` and never kill the
-connection.  ``repro serve`` is the CLI entry point; ``repro serve
+connection, except a request line longer than the stream limit (64 KiB),
+which is answered with an error and then closes it.  ``repro serve`` is
+the CLI entry point; ``repro serve
 --self-test`` boots the service on an ephemeral port, runs a scripted
 client against it (publish → ordered delivery round trip, health check,
 graph verification, clean shutdown), and exits non-zero on any failure —
@@ -51,6 +53,7 @@ import json
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.api import OrderedPubSub, OrderingViolation
+from repro.obs.lifecycle import SERIES
 from repro.obs.live import LiveMonitor, TelemetrySnapshot
 from repro.obs.registry import MetricsRegistry
 
@@ -142,18 +145,28 @@ class OrderingService:
     ) -> None:
         try:
             while not self._shutdown.is_set():
-                line = await reader.readline()
+                try:
+                    line = await reader.readline()
+                except ValueError as exc:
+                    # The line overran the stream limit and its tail is
+                    # still unread: answer, then close the connection.
+                    await self._reply(writer, _error(exc))
+                    break
                 if not line:
                     break
                 try:
                     req = json.loads(line)
                     resp = await self.handle(req)
                 except Exception as exc:  # noqa: BLE001 - reported to client
-                    resp = {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
-                writer.write(json.dumps(resp).encode() + b"\n")
-                await writer.drain()
+                    resp = _error(exc)
+                await self._reply(writer, resp)
         finally:
             writer.close()
+
+    @staticmethod
+    async def _reply(writer: asyncio.StreamWriter, resp: Dict[str, Any]) -> None:
+        writer.write(json.dumps(resp).encode() + b"\n")
+        await writer.drain()
 
     # -- operations --------------------------------------------------------
 
@@ -282,6 +295,10 @@ class OrderingService:
         }
 
 
+def _error(exc: Exception) -> Dict[str, Any]:
+    return {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
+
+
 # ---------------------------------------------------------------------------
 # Client + CLI plumbing
 # ---------------------------------------------------------------------------
@@ -395,10 +412,12 @@ async def _self_test_client(port: int) -> List[str]:
             snap.get("violations") == 0,
             f"clean run raised monitor violations: {snap.get('alerts')}",
         )
-        delivery = snap.get("phases", {}).get("delivery", {})
+        counts = {
+            phase: data.get("count") for phase, data in snap.get("phases", {}).items()
+        }
         expect(
-            delivery.get("count") == 12,
-            f"delivery latency histogram should have 12 samples: {delivery}",
+            counts == dict.fromkeys(SERIES, 12),
+            f"every phase histogram should have 12 samples: {counts}",
         )
         resp = await request(
             reader, writer, {"op": "metrics", "format": "prometheus"}

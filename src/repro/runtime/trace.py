@@ -3,13 +3,12 @@
 The metrics layer (:mod:`repro.metrics`) computes latency stretch, RDP, and
 load figures from traces rather than by instrumenting protocol code, which
 keeps the protocol implementation uncluttered and lets baselines share the
-same analysis pipeline.  The observability layer (:mod:`repro.obs`) builds
-per-message lifecycle spans from the same records and can consume them live
-through subscribers; :mod:`repro.obs.forensics` goes further and rebuilds
-full per-message journeys and hold-back explanations from the
-flight-recorder kinds (``atom_seq``/``atom_pass``/``buffer``/``drain``/
-``retransmit``), which works identically on a live trace and on a JSONL
-export because every data value is a JSON primitive.
+same analysis pipeline.  The observability layer folds the same records
+into one lifecycle per message (:mod:`repro.obs.lifecycle`), post hoc or
+live through subscribers, and explains hold-back from the flight-recorder
+kinds (``atom_seq``/``atom_pass``/``buffer``/``drain``/``retransmit``);
+that works identically on a live trace and on a JSONL export because
+every data value is a JSON primitive.
 
 The trace is backend-agnostic: record times come from whatever clock the
 runtime's node handle exposes, so the same analysis runs over a simulated

@@ -162,3 +162,94 @@ def test_totals_are_the_anchor(counts):
     events = sum(result[0] for result in counts.values())
     messages = sum(result[1] for result in counts.values())
     assert (events, messages) == (18095, 2613)
+
+
+# -- golden digests -----------------------------------------------------------
+#
+# sha256 of canonical JSON for the observability outputs that downstream
+# tools compare with ``cmp``: the JSONL and Chrome exports of a fixed-seed
+# ``repro trace run``-style fabric, the ``repro explain --stalls`` report on
+# chaos seed 0 (the CI default), and the live monitor's alert feed on the
+# CI live-monitor campaign.  A refactor of the observability plane must
+# leave all four byte-identical.
+
+
+def _sha256(text: str) -> str:
+    import hashlib
+
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _canonical(obj) -> str:
+    import json
+
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def _traced_fabric(seed: int = SEED, hosts: int = 24, groups: int = 6, events: int = 40):
+    """What ``repro trace run --hosts 24 --groups 6 --events 40 --gap 0``
+    builds and drives (a burst, so receivers hold back)."""
+    env = ExperimentEnv(n_hosts=hosts, seed=seed)
+    rng = random.Random(seed)
+    snapshot = zipf_membership(hosts, groups, rng=rng)
+    fabric = env.build_fabric(env.membership_from(snapshot), seed=seed, trace=True)
+    group_list = sorted(snapshot)
+    for _ in range(events):
+        group = rng.choice(group_list)
+        fabric.publish(rng.choice(sorted(snapshot[group])), group)
+    fabric.run()
+    return fabric
+
+
+def _export_digest(export):
+    from repro.obs import exporters
+
+    trace = _traced_fabric().trace
+    if export == "jsonl":
+        return _sha256(exporters.trace_to_jsonl(trace))
+    return _sha256(_canonical(exporters.trace_to_chrome(trace)))
+
+
+def _stall_report_digest():
+    from repro.faults.campaign import execute_campaign
+    from repro.obs.forensics import JourneyIndex
+
+    run = execute_campaign(
+        ChaosConfig(hosts=16, groups=6, events=40, seed=0, horizon=250.0)
+    )
+    return _sha256(_canonical(JourneyIndex(run.fabric.trace).stall_report(0.0)))
+
+
+def _alert_feed_digest():
+    from repro.faults.campaign import execute_campaign
+
+    run = execute_campaign(
+        ChaosConfig(hosts=24, groups=8, events=80, seed=7), live_monitor=True
+    )
+    return _sha256(_canonical(run.monitor.summary()))
+
+
+GOLDEN_DIGESTS = {
+    "jsonl": (
+        lambda: _export_digest("jsonl"),
+        "c35d7e71d519adac5d6e3b1dda0476dd84745bfc70fc3368cf299ee95d8bfcbb",
+    ),
+    "chrome": (
+        lambda: _export_digest("chrome"),
+        "84245c0b7060aba590234ad308aa446fce8b3c3204a0da44b8aa74433111635e",
+    ),
+    "stall_report": (
+        _stall_report_digest,
+        "d970f74a16dcee44ea35d85e1fc6356c4b4bebe0ed5e2ca63519f3dddd7d58c8",
+    ),
+    "alert_feed": (
+        _alert_feed_digest,
+        "1a3e08d69baace155fc9d82f557d5d06ce5c066d37cd0239cf013aa208499712",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_DIGESTS))
+def test_golden_digest(name):
+    digest, expected = GOLDEN_DIGESTS[name]
+    assert digest() == expected

@@ -14,6 +14,7 @@ import pytest
 from repro.cli import main
 from repro.faults.campaign import ChaosConfig, execute_campaign
 from repro.obs.exporters import trace_to_jsonl
+from repro.obs.lifecycle import PHASES
 from repro.obs.forensics import (
     CAUSE_IN_FLIGHT,
     CAUSE_LINK_FAILURE,
@@ -58,7 +59,7 @@ class TestJourneyReconstruction:
             assert first.group_seq is not None
             assert journey.distribute_time is not None
             assert journey.distribute_node is not None
-            assert journey.legs
+            assert journey.receipts
         assert complete > 0
 
     def test_atom_events_in_path_order(self, index):
@@ -69,15 +70,14 @@ class TestJourneyReconstruction:
     def test_breakdown_components_sum_exactly(self, index):
         checked = 0
         for journey in index.journeys.values():
-            for host in journey.legs:
+            for host in journey.receipts:
                 breakdown = journey.breakdown(host)
                 if breakdown is None:
                     continue
                 checked += 1
+                assert tuple(breakdown) == (*PHASES, "total")
                 assert breakdown["total"] == pytest.approx(
-                    breakdown["propagation"]
-                    + breakdown["sequencing"]
-                    + breakdown["holdback"]
+                    sum(breakdown[phase] for phase in PHASES)
                 )
                 assert breakdown["holdback"] >= 0.0
                 assert breakdown["sequencing"] >= 0.0

@@ -72,8 +72,9 @@ class TestCleanRun:
         _clean_run(monitor=monitor)
         # Every message fully delivered -> all per-message state evicted.
         assert monitor._checker._count == {}
-        assert monitor._flights == {}
-        assert monitor._owners == {}
+        assert monitor.journeys == {}
+        assert monitor.owners == {}
+        assert monitor.open_buffers == {}
         assert all(not seen for seen in monitor._checker._seen.values())
         assert monitor.holdback_occupancy() == {}
 
@@ -361,8 +362,8 @@ class TestTelemetrySnapshot:
         merged = merge_snapshots([a, b])
         assert merged.delivered == a.delivered + b.delivered
         assert merged.published == a.published + b.published
-        single = a.phase_summaries()["delivery"]
-        combined = merged.phase_summaries()["delivery"]
+        single = a.phase_summaries()["total"]
+        combined = merged.phase_summaries()["total"]
         assert combined["count"] == 2 * single["count"]
         # Identical inputs: merged quantiles equal the single-node ones.
         assert combined["p99"] == pytest.approx(single["p99"])

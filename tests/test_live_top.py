@@ -62,8 +62,8 @@ class TestReplay:
         assert final.published == live.published_total
         assert final.delivered == live.delivered_total
         assert final.violations == 0
-        live_summary = live.latency.summary()["delivery"]
-        replay_summary = final.phase_summaries()["delivery"]
+        live_summary = live.latency.summary()["total"]
+        replay_summary = final.phase_summaries()["total"]
         assert replay_summary["count"] == live_summary["count"]
         assert replay_summary["p99"] == pytest.approx(live_summary["p99"])
 
@@ -85,7 +85,7 @@ class TestRenderFrame:
         frames = list(iter_replay(path, window_ms=25.0))
         text = render_frame(frames[-1], frames[-2])
         assert "repro top — node replay" in text
-        assert "delivery" in text and "sequencing" in text
+        assert "total" in text and "sequencing" in text and "holdback" in text
         assert "hold-back" in text
         assert "fences" in text
         assert "recent alerts" in text

@@ -74,6 +74,14 @@ class TestHistogram:
         assert h.sum == pytest.approx(44.25)
         assert h.max == 40.0
 
+    def test_quantiles_never_exceed_the_high_water(self):
+        h = MetricsRegistry().histogram("lat", buckets=(1.0, 10.0))
+        for _ in range(10):
+            h.observe(0.0)  # e.g. hold-back of copies delivered on arrival
+        assert [h.quantile(q) for q in (0.5, 0.99, 1.0)] == [0.0, 0.0, 0.0]
+        h.observe(4.0)
+        assert h.quantile(1.0) == 4.0
+
     def test_rejects_unsorted_buckets(self):
         reg = MetricsRegistry()
         with pytest.raises(ValueError):

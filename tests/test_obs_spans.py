@@ -1,15 +1,19 @@
-"""Lifecycle-span reconstruction from fabric traces."""
+"""Message lifecycles (publish -> sequencing -> distribution -> deliver)
+folded from fabric traces by :mod:`repro.obs.lifecycle`."""
 
 import pytest
 
 from repro.experiments.common import ExperimentEnv
-from repro.obs.spans import (
+from repro.faults.campaign import execute_campaign, ChaosConfig
+from repro.obs.lifecycle import (
     PHASES,
-    build_spans,
-    hop_intervals,
-    phase_breakdown_by_group,
+    SERIES,
+    Journey,
+    Lifecycle,
+    breakdown_by_group,
     render_phase_table,
 )
+from repro.obs.live import LiveMonitor
 
 #: A membership crafted so group 0's sequencing path has exactly 3 atoms:
 #: group 0 double-overlaps each of groups 1/2/3 (two shared members apiece)
@@ -21,6 +25,21 @@ THREE_ATOM_SNAPSHOT = {
     2: frozenset({2, 3}),
     3: frozenset({4, 5}),
 }
+
+
+def fold(records):
+    life = Lifecycle()
+    for record in records:
+        life.fold(record)
+    return life.journeys
+
+
+def delivered_hosts(journey):
+    return {h for h, r in journey.receipts.items() if r.deliver_time is not None}
+
+
+def delivery_latency(journey, host):
+    return journey.receipts[host].deliver_time - journey.publish_time
 
 
 @pytest.fixture(scope="module")
@@ -36,59 +55,63 @@ def three_atom_fabric():
 
 class TestThreeAtomPath:
     def test_span_covers_full_pipeline(self, three_atom_fabric):
-        spans = build_spans(three_atom_fabric.trace)
-        assert set(spans) == {0}
-        span = spans[0]
-        assert span.complete
-        assert span.group == 0 and span.sender == 0
-        # One hop per sequencing-node visit; 3 atoms on <= 3 machines.
-        assert 1 <= len(span.hops) <= 3
-        assert set(span.deliveries) == set(THREE_ATOM_SNAPSHOT[0])
+        journeys = fold(three_atom_fabric.trace)
+        assert set(journeys) == {0}
+        journey = journeys[0]
+        assert journey.group == 0 and journey.sender == 0
+        # One visit per sequencing-node visit; 3 atoms on <= 3 machines.
+        assert 1 <= len(journey.visits) <= 3
+        assert len(journey.atom_events) == 3
+        assert journey.distribute_time is not None
+        assert delivered_hosts(journey) == set(THREE_ATOM_SNAPSHOT[0])
 
-    def test_phases_are_exactly_the_three_pipeline_phases(self, three_atom_fabric):
-        span = build_spans(three_atom_fabric.trace)[0]
-        for host in span.deliveries:
-            assert tuple(span.phases(host)) == PHASES
+    def test_phases_are_exactly_the_pipeline_phases(self, three_atom_fabric):
+        journey = fold(three_atom_fabric.trace)[0]
+        assert PHASES == ("ingress", "sequencing", "distribution", "holdback")
+        for host in delivered_hosts(journey):
+            assert tuple(journey.breakdown(host)) == SERIES == (*PHASES, "total")
 
     def test_phase_latencies_sum_to_delivery_latency(self, three_atom_fabric):
-        span = build_spans(three_atom_fabric.trace)[0]
-        for host in span.deliveries:
-            phases = span.phases(host)
-            assert all(latency >= 0 for latency in phases.values())
-            assert sum(phases.values()) == pytest.approx(
-                span.delivery_latency(host), abs=1e-9
+        journey = fold(three_atom_fabric.trace)[0]
+        for host in delivered_hosts(journey):
+            breakdown = journey.breakdown(host)
+            assert all(breakdown[phase] >= 0 for phase in PHASES)
+            assert sum(breakdown[phase] for phase in PHASES) == pytest.approx(
+                delivery_latency(journey, host), abs=1e-9
             )
+            assert breakdown["total"] == delivery_latency(journey, host)
 
     def test_hop_intervals_tile_the_sequencing_phase(self, three_atom_fabric):
-        span = build_spans(three_atom_fabric.trace)[0]
-        intervals = hop_intervals(span)
-        assert len(intervals) == len(span.hops)
-        assert intervals[0][1] == span.hops[0].time
-        assert intervals[-1][2] == span.distribute_time
+        journey = fold(three_atom_fabric.trace)[0]
+        intervals = journey.hop_intervals()
+        assert len(intervals) == len(journey.visits)
+        assert intervals[0][1] == journey.visits[0][1]
+        assert intervals[-1][2] == journey.distribute_time
         for (_, _, end), (_, start, _) in zip(intervals, intervals[1:]):
             assert end == start
         total = sum(end - start for _, start, end in intervals)
-        assert total == pytest.approx(
-            span.distribute_time - span.hops[0].time, abs=1e-9
-        )
+        host = min(delivered_hosts(journey))
+        assert total == pytest.approx(journey.breakdown(host)["sequencing"], abs=1e-9)
 
 
 class TestAggregation:
     def test_group_breakdown_means_match_single_span(self, three_atom_fabric):
-        span = build_spans(three_atom_fabric.trace)[0]
-        breakdown = phase_breakdown_by_group(build_spans(three_atom_fabric.trace))
+        journeys = fold(three_atom_fabric.trace)
+        journey = journeys[0]
+        breakdown = breakdown_by_group(journeys)
         assert set(breakdown) == {0}
-        expected = {phase: 0.0 for phase in PHASES}
-        for host in span.deliveries:
-            for phase, latency in span.phases(host).items():
-                expected[phase] += latency / len(span.deliveries)
-        for phase in PHASES:
-            assert breakdown[0][phase] == pytest.approx(expected[phase])
+        hosts = delivered_hosts(journey)
+        expected = dict.fromkeys(SERIES, 0.0)
+        for host in hosts:
+            for key, latency in journey.breakdown(host).items():
+                expected[key] += latency / len(hosts)
+        for key in SERIES:
+            assert breakdown[0][key] == pytest.approx(expected[key])
 
     def test_render_phase_table_lists_each_group(self, three_atom_fabric):
-        breakdown = phase_breakdown_by_group(build_spans(three_atom_fabric.trace))
-        table = render_phase_table(breakdown)
-        assert "ingress_ms" in table and "total_ms" in table
+        table = render_phase_table(breakdown_by_group(fold(three_atom_fabric.trace)))
+        assert "ingress_ms" in table and "holdback_ms" in table
+        assert "total_ms" in table
         assert any(line.startswith("0") for line in table.splitlines())
 
 
@@ -98,15 +121,12 @@ class TestIncompleteSpans:
         fabric = env.build_fabric(env.membership_from(THREE_ATOM_SNAPSHOT), trace=False)
         fabric.publish(0, 0)
         fabric.run()
-        assert build_spans(fabric.trace) == {}
+        assert fold(fabric.trace) == {}
 
-    def test_incomplete_span_raises_on_phases(self):
-        from repro.obs.spans import MessageSpan
-
-        span = MessageSpan(msg_id=9, group=0, sender=1, publish_time=0.0)
-        assert not span.complete
-        with pytest.raises(ValueError):
-            span.phases(0)
+    def test_incomplete_span_has_no_breakdown(self):
+        journey = Journey(msg_id=9, group=0, sender=1, publish_time=0.0)
+        assert journey.breakdown(0) is None
+        assert journey.hop_intervals() == []
 
     def test_multi_message_spans_reconstruct_independently(self):
         env = ExperimentEnv(n_hosts=6, seed=0)
@@ -114,11 +134,46 @@ class TestIncompleteSpans:
         for sender, group in ((0, 0), (0, 1), (2, 2), (0, 0)):
             fabric.publish(sender, group)
         fabric.run()
-        spans = build_spans(fabric.trace)
-        assert set(spans) == {0, 1, 2, 3}
-        for span in spans.values():
-            assert span.complete
-            for host in span.deliveries:
-                assert sum(span.phases(host).values()) == pytest.approx(
-                    span.delivery_latency(host), abs=1e-9
+        journeys = fold(fabric.trace)
+        assert set(journeys) == {0, 1, 2, 3}
+        for journey in journeys.values():
+            assert delivered_hosts(journey) == set(fabric.membership.members(journey.group))
+            for host in delivered_hosts(journey):
+                breakdown = journey.breakdown(host)
+                assert sum(breakdown[phase] for phase in PHASES) == pytest.approx(
+                    delivery_latency(journey, host), abs=1e-9
                 )
+
+
+class TestEveryDeliveredCopy:
+    """On chaos runs every delivered copy splits into the four phases,
+    and the live histograms observe each copy once per series."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_phases_partition_total_and_histograms_count_copies(self, seed):
+        monitor = LiveMonitor()
+        run = execute_campaign(ChaosConfig(seed=seed))
+        records = list(run.fabric.trace)
+        monitor.adopt_membership(
+            {
+                group: frozenset(run.fabric.membership.members(group))
+                for group in run.fabric.membership.groups()
+            }
+        )
+        for record in records:
+            monitor.observe(record)
+        copies = 0
+        for journey in fold(records).values():
+            for host in delivered_hosts(journey):
+                breakdown = journey.breakdown(host)
+                if journey.is_fence:
+                    continue
+                copies += 1
+                assert breakdown is not None
+                assert all(breakdown[phase] >= 0 for phase in PHASES), breakdown
+                assert sum(breakdown[phase] for phase in PHASES) == pytest.approx(
+                    breakdown["total"], abs=1e-9
+                )
+        assert copies == len([r for r in records if r.kind == "deliver"]) > 0
+        for name, histogram in monitor.latency.histograms.items():
+            assert histogram.count == copies, name

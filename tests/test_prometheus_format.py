@@ -10,7 +10,8 @@ import math
 import re
 
 from repro.obs.exporters import registry_to_prometheus
-from repro.obs.live import PhaseLatencyTracker, PHASES
+from repro.obs.lifecycle import SERIES
+from repro.obs.live import PhaseLatencyTracker
 from repro.obs.registry import MetricsRegistry
 
 # Exposition-format grammar: metric names and label names.
@@ -27,7 +28,7 @@ def _tracked_registry():
     registry = MetricsRegistry()
     tracker = PhaseLatencyTracker(registry)
     for value in (0.05, 0.4, 3.0, 12.0, 80.0, 700.0):
-        tracker.histograms["delivery"].observe(value)
+        tracker.histograms["total"].observe(value)
         tracker.histograms["sequencing"].observe(value / 2)
     registry.counter("repro_messages_published", "Messages published").inc(6)
     return registry
@@ -66,7 +67,7 @@ class TestGoldenFormat:
 
     def test_phase_histogram_series_are_complete(self):
         text = registry_to_prometheus(_tracked_registry())
-        for phase in PHASES:
+        for phase in SERIES:
             for suffix in ("bucket", "sum", "count", "max"):
                 pattern = f"repro_phase_latency_ms_{suffix}{{"
                 lines = [
@@ -81,14 +82,14 @@ class TestGoldenFormat:
         for line in text.splitlines():
             if not line.startswith("repro_phase_latency_ms_bucket"):
                 continue
-            if 'phase="delivery"' not in line:
+            if 'phase="total"' not in line:
                 continue
             labels, value = line.rsplit(" ", 1)
             bound = labels.split('le="')[1].split('"')[0]
             buckets.append(
                 (math.inf if bound == "+Inf" else float(bound), int(value))
             )
-        assert buckets, "no delivery buckets found"
+        assert buckets, "no total buckets found"
         bounds = [b for b, _ in buckets]
         counts = [c for _, c in buckets]
         assert bounds == sorted(bounds)
@@ -97,7 +98,7 @@ class TestGoldenFormat:
         count_line = next(
             line for line in text.splitlines()
             if line.startswith("repro_phase_latency_ms_count")
-            and 'phase="delivery"' in line
+            and 'phase="total"' in line
         )
         assert int(count_line.rsplit(" ", 1)[1]) == counts[-1]
 

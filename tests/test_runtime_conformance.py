@@ -17,6 +17,7 @@ and invariant cleanliness.
 """
 
 import asyncio
+import json
 import random
 
 import pytest
@@ -283,3 +284,58 @@ def test_hosted_service_delivers_before_any_drain():
             service.bus.close()
 
     assert asyncio.run(scenario()) == (True, True)
+
+
+# -- resource ownership --------------------------------------------------------
+
+
+def test_fabric_closes_its_runtime(env32):
+    """``with fabric:`` releases the pump tasks and the owned event loop.
+
+    A fabric dropped without closing leaves its pumps pending on a loop
+    that is later closed ("Event loop is closed" from every ``_pump``).
+    """
+    runtime = AsyncioTransport(seed=0, time_scale=LIVE_TIME_SCALE)
+    with build_fabric(env32, runtime) as fabric:
+        publish_mixed(fabric, 4, spread=5.0)
+        fabric.run()
+        assert fabric.pending_messages() == {}
+        assert not runtime._loop.is_closed()
+    assert runtime._loop.is_closed()
+    fabric.close()  # idempotent
+
+
+def test_service_answers_an_oversize_request_line():
+    """A line over the stream limit gets an error reply, then a hang-up;
+    the service keeps serving other connections."""
+    from repro.runtime.service import OrderingService, request
+
+    async def scenario():
+        service = OrderingService(n_hosts=2, seed=0, time_scale=LIVE_TIME_SCALE)
+        await service.start()
+        server = asyncio.ensure_future(service.serve_until_shutdown())
+        try:
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", service.bound_port
+            )
+            writer.write(b'{"op": "health", "pad": "' + b"x" * 70_000 + b'"}\n')
+            await writer.drain()
+            reply = await asyncio.wait_for(reader.readline(), timeout=10.0)
+            closed = await asyncio.wait_for(reader.read(), timeout=10.0) == b""
+            writer.close()
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", service.bound_port
+            )
+            health = await request(reader, writer, {"op": "health"})
+            await request(reader, writer, {"op": "shutdown"})
+            writer.close()
+            return reply, closed, health
+        finally:
+            service._shutdown.set()
+            await asyncio.wait_for(server, timeout=10.0)
+
+    reply, closed, health = asyncio.run(scenario())
+    resp = json.loads(reply)
+    assert resp["ok"] is False and "ValueError" in resp["error"]
+    assert closed
+    assert health["ok"] is True
